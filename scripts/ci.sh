@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Staged CI driver. Stages:
 #
-#   fast    — build + every test that is not labelled `chaos` (quick signal)
+#   fast    — warnings-as-errors build + every test that is not labelled
+#             `chaos` (quick signal)
 #   chaos   — the labelled fault-injection soaks and scenario sweeps,
 #             including the overlay-repair cells (standby activation,
 #             gossip re-peering, lossy-link repair soaks — DESIGN.md §15),
@@ -36,13 +37,19 @@ configure() { # build-dir extra-cmake-args...
   cmake --build "$dir" -j "$jobs"
 }
 
+# The default tree every non-sanitizer stage shares. Warnings are errors
+# there, so the fast stage fails on any new warning.
+configure_default() {
+  configure build -DET_WARNINGS_AS_ERRORS=ON
+}
+
 run_fast() {
-  configure build
+  configure_default
   ctest --test-dir build -LE chaos --output-on-failure -j "$jobs"
 }
 
 run_chaos() {
-  configure build
+  configure_default
   ctest --test-dir build -L chaos --output-on-failure --timeout 300
 }
 
@@ -62,7 +69,7 @@ run_sockets() {
     echo "sockets: loopback unavailable in this environment, skipping stage"
     return 0
   fi
-  configure build
+  configure_default
   # Real-TCP suites: the conformance matrix instantiated over
   # SocketNetwork plus the end-to-end framing/corruption tests. The hard
   # timeout bounds a wedged event loop to minutes, not a hung CI job.
@@ -102,14 +109,14 @@ run_tsan() {
 }
 
 run_scale() {
-  configure build
+  configure_default
   # Virtual-time 10^5-entity deployment; exits non-zero if any §14
   # resource floor regresses. Completes in seconds of wall time.
   ./build/bench/bench_entity_scale --smoke
 }
 
 run_durability() {
-  configure build
+  configure_default
   # §16 persistence: WAL truncate-at-every-byte property tests, the
   # replay-log / ledger fuzz suites, and the durable-state chaos cells
   # (restart-with-state vs cold, audit-after-partition, determinism).

@@ -1,5 +1,6 @@
-#include "src/tracing/entity_host.h"
+#include "src/tracing/entity_session.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -10,12 +11,11 @@ namespace et::tracing {
 
 namespace tt = pubsub::trace_topics;
 
-EntityHost::EntityHost(transport::NetworkBackend& backend,
-                       crypto::Identity identity, TrustAnchors anchors,
-                       TracingConfig config, std::uint64_t seed)
+EntitySession::EntitySession(transport::NetworkBackend& backend,
+                             crypto::Identity identity, TracingConfig config,
+                             std::uint64_t seed)
     : backend_(backend),
       identity_(std::move(identity)),
-      anchors_(std::move(anchors)),
       config_(config),
       rng_(seed),
       client_(backend, identity_.id),
@@ -23,41 +23,43 @@ EntityHost::EntityHost(transport::NetworkBackend& backend,
   disc_.set_retry_policy(config_.retry);
 }
 
-EntityHost::~EntityHost() {
+EntitySession::~EntitySession() {
   backend_.cancel(renewal_timer_);
   backend_.cancel(watchdog_timer_);
   backend_.cancel(failover_timer_);
 }
 
-void EntityHost::attach_tdn(transport::NodeId tdn,
-                            const transport::LinkParams& params) {
+void EntitySession::attach_tdn(transport::NodeId tdn,
+                               const transport::LinkParams& params) {
   disc_.attach_tdn(tdn, params);
 }
 
-void EntityHost::connect_broker(transport::NodeId broker,
-                                const transport::LinkParams& params) {
+void EntitySession::connect_broker(transport::NodeId broker,
+                                   const transport::LinkParams& params) {
   broker_params_ = params;  // reused when failing over to a new broker
   last_broker_activity_ = backend_.now();
   client_.connect(broker, params);
 }
 
-void EntityHost::set_delegate_keys(crypto::RsaKeyPair keys) {
+void EntitySession::set_delegate_keys(crypto::RsaKeyPair keys) {
   backend_.post(client_.node(), [this, keys = std::move(keys)]() mutable {
     preset_delegate_ = std::move(keys);
   });
 }
 
-void EntityHost::register_entities(
-    discovery::DiscoveryRestrictions restrictions,
-    std::vector<std::string> entity_ids, ReadyCallback on_ready) {
-  // Step 1: one trace topic for the whole roster, minted under the host's
-  // id. Tracking a member means tracking its host topic (§14).
+void EntitySession::start(discovery::DiscoveryRestrictions restrictions,
+                          std::vector<std::string> roster,
+                          ReadyCallback on_ready) {
+  // Step 1: mint the trace topic at the TDN (§3.1). A roster shares its
+  // host's topic: tracking a member means tracking the host topic (§14).
+  // The callback hops into the client context so all state stays
+  // single-context.
   disc_.create_topic(
       "Availability/Traces/" + identity_.id, std::move(restrictions),
       config_.topic_lifetime,
-      [this, entity_ids = std::move(entity_ids), on_ready = std::move(
-          on_ready)](Result<discovery::TopicAdvertisement> result) mutable {
-        backend_.post(client_.node(), [this, entity_ids = std::move(entity_ids),
+      [this, roster = std::move(roster), on_ready = std::move(on_ready)](
+          Result<discovery::TopicAdvertisement> result) mutable {
+        backend_.post(client_.node(), [this, roster = std::move(roster),
                                        result = std::move(result),
                                        on_ready =
                                            std::move(on_ready)]() mutable {
@@ -68,22 +70,20 @@ void EntityHost::register_entities(
           advertisement_ = std::move(result).value();
           trace_topic_ = advertisement_.topic();
           active_ = false;  // (re-)registration in progress
-          entity_ids_ = std::move(entity_ids);
-          responsive_.assign(entity_ids_.size(), 1);
-          index_of_.clear();
-          for (std::size_t i = 0; i < entity_ids_.size(); ++i) {
-            index_of_[entity_ids_[i]] = i;
-          }
+          roster_ = std::move(roster);
+          member_live_.assign(roster_.size(), 1);
           register_with_broker(std::move(on_ready));
         });
       });
 }
 
-void EntityHost::register_with_broker(ReadyCallback on_ready) {
+void EntitySession::register_with_broker(ReadyCallback on_ready) {
+  // A re-registration abandons any registration still in flight; its
+  // callback must not fire later against a response meant for this one.
   pending_ready_ = std::move(on_ready);
-  // Subscribe once — the client keeps every handler ever registered for a
-  // pattern, so re-subscribing would replay responses into stale
-  // callbacks (same discipline as TracedEntity).
+  // Step 2 prep: listen for the response before asking (§3.2). Subscribe
+  // once — the client keeps every handler ever registered for a pattern,
+  // so re-subscribing here would replay responses into stale callbacks.
   if (!registration_subscribed_) {
     registration_subscribed_ = true;
     const std::string response_topic = "Constrained/Traces/" + identity_.id +
@@ -93,25 +93,34 @@ void EntityHost::register_with_broker(ReadyCallback on_ready) {
     });
   }
 
-  // Step 2: ONE signed request names the whole roster.
-  BatchRegistrationRequest req;
-  req.host_id = identity_.id;
-  req.credential = identity_.credential;
-  req.advertisement = advertisement_;
-  req.request_id = rng_.next_u64() | 1;
-  req.entity_ids = entity_ids_;
-  registration_request_id_ = req.request_id;
-
   pubsub::Message m;
-  m.topic = tt::registration_batch();
-  m.payload = req.serialize();
+  registration_request_id_ = rng_.next_u64() | 1;
+  if (roster_.empty()) {
+    RegistrationRequest req;
+    req.entity_id = identity_.id;
+    req.credential = identity_.credential;
+    req.advertisement = advertisement_;
+    req.request_id = registration_request_id_;
+    m.topic = tt::registration();
+    m.payload = req.serialize();
+  } else {
+    // ONE request names the whole roster.
+    BatchRegistrationRequest req;
+    req.host_id = identity_.id;
+    req.credential = identity_.credential;
+    req.advertisement = advertisement_;
+    req.request_id = registration_request_id_;
+    req.entity_ids = roster_;
+    m.topic = tt::registration_batch();
+    m.payload = req.serialize();
+  }
   m.publisher = identity_.id;
   // §3.2 item 4: demonstrate possession by signing the message.
   publish_signed(client_, std::move(m), identity_.keys.private_key, sequence_,
                  backend_.now());
 }
 
-void EntityHost::on_registration_response(const pubsub::Message& m) {
+void EntitySession::on_registration_response(const pubsub::Message& m) {
   last_broker_activity_ = backend_.now();
   if (active_) return;  // duplicate delivery after success
   if (!m.encrypted) {
@@ -121,8 +130,7 @@ void EntityHost::on_registration_response(const pubsub::Message& m) {
       const std::uint64_t req_id = r.u64();
       const std::string error = r.str();
       if (req_id != registration_request_id_) return;
-      ET_LOG(kInfo) << identity_.id
-                    << ": batch registration rejected: " << error;
+      ET_LOG(kInfo) << identity_.id << ": registration rejected: " << error;
       if (auto cb = std::exchange(pending_ready_, nullptr)) {
         cb(unauthenticated(error));
       }
@@ -144,8 +152,10 @@ void EntityHost::on_registration_response(const pubsub::Message& m) {
 
   session_id_ = resp.session_id;
   session_key_ = crypto::SecretKey::deserialize(resp.session_key);
+  ++stats_.registrations;
 
-  // Step 3: one session topic covers the roster.
+  // Step 3: subscribe to the broker->entity session topic (§3.2); one
+  // session topic covers the whole roster.
   client_.subscribe(
       tt::broker_to_entity(identity_.id, trace_topic_.to_string(),
                            session_id_.to_string()),
@@ -154,10 +164,10 @@ void EntityHost::on_registration_response(const pubsub::Message& m) {
   deliver_delegation(std::exchange(pending_ready_, nullptr));
 }
 
-void EntityHost::deliver_delegation(ReadyCallback on_ready) {
-  // §4.3 with one twist: ONE delegate pair + token authorizes traces for
-  // the entire roster (they all share the host's trace topic), so the
-  // re-mint cost is O(hosts), not O(entities).
+void EntitySession::deliver_delegation(ReadyCallback on_ready) {
+  // Step 4 (§4.3): fresh delegate pair, token signed by our long-term key.
+  // One delegation authorizes traces for the whole roster (the members
+  // share the trace topic), so re-minting costs O(1) per session.
   const crypto::RsaKeyPair delegate =
       preset_delegate_ ? *preset_delegate_
                        : crypto::rsa_generate(rng_, config_.delegate_key_bits);
@@ -172,15 +182,21 @@ void EntityHost::deliver_delegation(ReadyCallback on_ready) {
   sm.delegate_secret = delegate.private_key.serialize();
   send_session_message(sm, /*force_encrypt=*/true);
 
+  // §4.3: renew the delegation before the token expires. The renewal is
+  // posted like a manual renew_token(), so work already queued for this
+  // instant — a silence watchdog that is about to fail over — runs first.
   if (config_.auto_renew_tokens) {
     backend_.cancel(renewal_timer_);
     renewal_timer_ = backend_.schedule(
         client_.node(), config_.token_lifetime * 3 / 4, [this] {
-          if (active_) deliver_delegation(nullptr);
+          if (active_) renew_token();
         });
   }
 
   if (config_.secure_traces) {
+    // The trace key survives token renewals — rotating it here would
+    // orphan trackers that already unwrapped it. (Re-)delivery to the
+    // broker is idempotent.
     if (trace_key_.empty()) {
       trace_key_ = crypto::SecretKey::generate(rng_, config_.symmetric_alg);
     }
@@ -191,14 +207,13 @@ void EntityHost::deliver_delegation(ReadyCallback on_ready) {
   }
 
   active_ = true;
-  ++stats_.registrations;
   arm_watchdog();
   if (on_ready) on_ready(Status::ok());
 }
 
-void EntityHost::on_ping(const pubsub::Message& m) {
+void EntitySession::on_ping(const pubsub::Message& m) {
   // Any broker traffic proves the broker alive — even pings we choose not
-  // to answer (set_all_responsive(false) simulates a hung host, not a
+  // to answer (set_all_responsive(false) simulates a hung client, not a
   // dead broker), so the silence watchdog must not fail over then.
   last_broker_activity_ = backend_.now();
   SessionMessage ping;
@@ -209,18 +224,18 @@ void EntityHost::on_ping(const pubsub::Message& m) {
   }
   if (ping.type != SessionMsgType::kPing) return;
   ++stats_.pings_received;
-  if (!host_responsive_) return;  // injected failure: whole host silent
+  if (!responsive_) return;  // injected failure: stay silent
 
-  // §3.3 response, batch form: echo number+timestamp and pack the
-  // roster's responsiveness into the liveness bitmap — bit i of byte i/8
-  // covers entity_ids_[i] (the batch registration order).
+  // §3.3: the response echoes the ping's number and timestamp. A roster's
+  // responsiveness rides along in the liveness bitmap — bit i of byte i/8
+  // covers roster_[i]; a single entity sends it empty.
   SessionMessage resp;
   resp.type = SessionMsgType::kPingResponse;
   resp.ping_number = ping.ping_number;
   resp.ping_timestamp = ping.ping_timestamp;
-  resp.liveness.assign((entity_ids_.size() + 7) / 8, 0);
-  for (std::size_t i = 0; i < entity_ids_.size(); ++i) {
-    if (responsive_[i]) {
+  resp.liveness.assign((roster_.size() + 7) / 8, 0);
+  for (std::size_t i = 0; i < roster_.size(); ++i) {
+    if (member_live_[i]) {
       resp.liveness[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
     }
   }
@@ -228,8 +243,8 @@ void EntityHost::on_ping(const pubsub::Message& m) {
   ++stats_.pings_answered;
 }
 
-void EntityHost::send_session_message(const SessionMessage& sm,
-                                      bool force_encrypt) {
+void EntitySession::send_session_message(const SessionMessage& sm,
+                                         bool force_encrypt) {
   pubsub::Message m;
   m.topic = tt::entity_to_broker(trace_topic_.to_string(),
                                  session_id_.to_string());
@@ -239,7 +254,9 @@ void EntityHost::send_session_message(const SessionMessage& sm,
       force_encrypt ||
       config_.signing_mode == EntitySigningMode::kSymmetricSession;
   if (encrypt) {
-    // §6.3: possession of the session key authenticates the host.
+    // §6.3: encryption with the shared session key authenticates us —
+    // "the broker accepts messages encrypted with this key as having
+    // originated by the entity in question".
     m.payload = session_key_.encrypt(sm.serialize(), rng_);
     m.encrypted = true;
     m.sequence = ++sequence_;
@@ -253,18 +270,57 @@ void EntityHost::send_session_message(const SessionMessage& sm,
                  backend_.now());
 }
 
-void EntityHost::stop_tracing() {
+void EntitySession::report_state(EntityState state) {
+  state_ = state;
+  if (!active_) return;
+  SessionMessage sm;
+  sm.type = SessionMsgType::kStateReport;
+  sm.state = state;
+  send_session_message(sm, /*force_encrypt=*/false);
+  ++stats_.reports_sent;
+}
+
+void EntitySession::set_state(EntityState state) {
+  backend_.post(client_.node(), [this, state] {
+    ++state_gen_;
+    report_state(state);
+  });
+}
+
+void EntitySession::report_load(const LoadInfo& load) {
+  backend_.post(client_.node(), [this, load] {
+    if (!active_) return;
+    SessionMessage sm;
+    sm.type = SessionMsgType::kLoadReport;
+    sm.load = load;
+    send_session_message(sm, /*force_encrypt=*/false);
+    ++stats_.reports_sent;
+  });
+}
+
+void EntitySession::renew_token() {
+  backend_.post(client_.node(), [this] {
+    if (!active_) return;
+    // Fresh delegation: new key pair, new token, same session. The broker
+    // replaces its delegation atomically on receipt. A renewal failure is
+    // indistinguishable from expiry, so there is no callback; the next
+    // renewal timer is re-armed inside deliver_delegation.
+    deliver_delegation(nullptr);
+  });
+}
+
+void EntitySession::stop_tracing() {
   backend_.post(client_.node(), [this] {
     if (!active_) return;
     SessionMessage sm;
     sm.type = SessionMsgType::kSilentMode;
-    send_session_message(sm, false);
+    send_session_message(sm, /*force_encrypt=*/false);
     active_ = false;
     backend_.cancel(renewal_timer_);
   });
 }
 
-void EntityHost::disconnect() {
+void EntitySession::disconnect() {
   backend_.post(client_.node(), [this] {
     active_ = false;
     backend_.cancel(renewal_timer_);
@@ -274,9 +330,25 @@ void EntityHost::disconnect() {
   });
 }
 
-// --- broker-silence failover (DESIGN.md §11, batch form) ------------------
+void EntitySession::set_all_responsive(bool responsive) {
+  backend_.post(client_.node(), [this, responsive] {
+    responsive_ = responsive;
+  });
+}
 
-void EntityHost::arm_watchdog() {
+void EntitySession::set_member_responsive(const std::string& member_id,
+                                          bool responsive) {
+  backend_.post(client_.node(), [this, member_id, responsive] {
+    const auto it = std::find(roster_.begin(), roster_.end(), member_id);
+    if (it == roster_.end()) return;
+    member_live_[static_cast<std::size_t>(it - roster_.begin())] =
+        responsive ? 1 : 0;
+  });
+}
+
+// --- broker-silence failover (DESIGN.md §11) -----------------------------
+
+void EntitySession::arm_watchdog() {
   if (config_.broker_silence_timeout <= 0) return;
   backend_.cancel(watchdog_timer_);
   const Duration interval =
@@ -285,20 +357,20 @@ void EntityHost::arm_watchdog() {
       backend_.schedule(client_.node(), interval, [this] { on_watchdog(); });
 }
 
-void EntityHost::on_watchdog() {
+void EntitySession::on_watchdog() {
   watchdog_timer_ = 0;
   if (!active_ || failing_over_) return;
   if (backend_.now() - last_broker_activity_ >=
       config_.broker_silence_timeout) {
     ET_LOG(kInfo) << identity_.id
-                  << ": hosting broker silent; starting batch failover";
+                  << ": hosting broker silent; starting failover";
     begin_failover();
     return;
   }
   arm_watchdog();
 }
 
-void EntityHost::begin_failover() {
+void EntitySession::begin_failover() {
   failing_over_ = true;
   active_ = false;
   backend_.cancel(renewal_timer_);
@@ -306,8 +378,8 @@ void EntityHost::begin_failover() {
   watchdog_timer_ = 0;
   // Sever the dead broker's link: if it is in fact alive (we were merely
   // partitioned), its next ping send gets kUnavailable and it tears the
-  // stale session down with per-member DISCONNECT traces — exactly the
-  // bookkeeping we want for a session we are abandoning.
+  // stale session down with DISCONNECT traces — exactly the bookkeeping
+  // we want for a session we are abandoning.
   if (client_.broker() != transport::kInvalidNode &&
       backend_.linked(client_.node(), client_.broker())) {
     backend_.unlink(client_.node(), client_.broker());
@@ -316,28 +388,27 @@ void EntityHost::begin_failover() {
   attempt_failover();
 }
 
-void EntityHost::attempt_failover() {
+void EntitySession::attempt_failover() {
   const std::uint64_t gen = ++failover_gen_;
   ++stats_.failover_attempts;
-  // One attempt = find_broker -> connect -> resubscribe -> ONE batch
-  // re-registration covering the whole roster -> one re-minted
-  // delegation. The tail after find_broker runs under one timeout; a TDN
-  // may hand us a broker that crashed after registering.
+  // One attempt = find_broker -> connect -> resubscribe -> re-register ->
+  // re-mint delegation. find_broker and the whole tail after it each run
+  // under one timeout; a TDN may hand us a broker that crashed after
+  // registering.
   const Duration step_timeout =
       std::max<Duration>(100 * kMillisecond, config_.broker_silence_timeout);
   disc_.find_broker(
-      [this, gen](Result<discovery::BrokerLocation> r) {
-        backend_.post(client_.node(), [this, gen, r = std::move(r)]() mutable {
+      [this, gen, step_timeout](Result<discovery::BrokerLocation> r) {
+        backend_.post(client_.node(), [this, gen, step_timeout,
+                                       r = std::move(r)]() mutable {
           if (gen != failover_gen_ || !failing_over_) return;
           if (!r.ok()) {
             failover_backoff();
             return;
           }
           const discovery::BrokerLocation loc = std::move(r).value();
-          const Duration attempt_timeout = std::max<Duration>(
-              100 * kMillisecond, config_.broker_silence_timeout);
           failover_timer_ =
-              backend_.schedule(client_.node(), attempt_timeout, [this, gen] {
+              backend_.schedule(client_.node(), step_timeout, [this, gen] {
                 if (gen != failover_gen_ || !failing_over_) return;
                 failover_timer_ = 0;
                 pending_ready_ = nullptr;  // abandon the in-flight attempt
@@ -352,10 +423,9 @@ void EntityHost::attempt_failover() {
             if (gen != failover_gen_ || !failing_over_) return;
             if (!s.is_ok()) return;  // the per-attempt timeout handles it
             // The new broker knows none of our subscriptions (broker-side
-            // state is per-broker): replay them, then re-register the
-            // batch. The subscribe frames travel the same ordered link
-            // first, so the registration response cannot outrun its
-            // subscription.
+            // state is per-broker): replay them, then re-register. The
+            // subscribe frames travel the same ordered link first, so the
+            // registration response cannot outrun its subscription.
             client_.resubscribe_all();
             register_with_broker([this, gen](const Status& rs) {
               if (gen != failover_gen_ || !failing_over_) return;
@@ -373,7 +443,7 @@ void EntityHost::attempt_failover() {
       step_timeout);
 }
 
-void EntityHost::failover_backoff() {
+void EntitySession::failover_backoff() {
   Duration delay = 0;
   if (!failover_retry_.next_delay(backend_.now(), rng_, &delay)) {
     // An availability reporter must never stop trying to report: once the
@@ -388,30 +458,40 @@ void EntityHost::failover_backoff() {
   });
 }
 
-void EntityHost::finish_failover() {
+void EntitySession::finish_failover() {
   failing_over_ = false;
   ++stats_.failovers;
   last_broker_activity_ = backend_.now();
-  ET_LOG(kInfo) << identity_.id << ": batch failover complete, session "
+  ET_LOG(kInfo) << identity_.id << ": failover complete, session "
                 << session_id_.to_string();
-  // Unlike TracedEntity there is no RECOVERING announcement: hosts carry
-  // no per-member state machine, and the broker's next ping round
-  // re-establishes every member's liveness from the bitmap.
-}
-
-void EntityHost::set_responsive(const std::string& entity_id,
-                                bool responsive) {
-  backend_.post(client_.node(), [this, entity_id, responsive] {
-    const auto it = index_of_.find(entity_id);
-    if (it == index_of_.end()) return;
-    responsive_[it->second] = responsive ? 1 : 0;
-  });
-}
-
-void EntityHost::set_all_responsive(bool responsive) {
-  backend_.post(client_.node(), [this, responsive] {
-    host_responsive_ = responsive;
-  });
+  // A roster carries no per-member state machine: the broker's next ping
+  // round re-establishes every member's liveness from the bitmap.
+  if (!roster_.empty()) return;
+  // A single entity announces the recovery so trackers observe
+  // RECOVERING -> READY (§4) instead of an unexplained revival under a
+  // fresh session.
+  const EntityState resumed =
+      state_ == EntityState::kInitializing ? EntityState::kReady : state_;
+  report_state(EntityState::kRecovering);
+  if (config_.recovery_announce_delay <= 0) {
+    report_state(resumed);
+    return;
+  }
+  // Dwell in RECOVERING so trackers that must first re-register interest
+  // with the new hosting broker can still witness the transition. The
+  // announcement queues behind set_state() calls like any other; a state
+  // set since the dwell began is newer than `resumed` and stands.
+  const std::uint64_t gen = failover_gen_;
+  const std::uint64_t state_gen = state_gen_;
+  failover_timer_ = backend_.schedule(
+      client_.node(), config_.recovery_announce_delay,
+      [this, gen, state_gen, resumed] {
+        if (gen != failover_gen_ || failing_over_ || !active_) return;
+        failover_timer_ = 0;
+        backend_.post(client_.node(), [this, state_gen, resumed] {
+          if (state_gen == state_gen_) report_state(resumed);
+        });
+      });
 }
 
 }  // namespace et::tracing

@@ -8,6 +8,7 @@
 namespace et::tracing {
 namespace {
 
+using testing::ClientKind;
 using testing::TracingHarness;
 
 TEST(EndToEndTest, EntityRegistersAndTracingStarts) {
@@ -176,10 +177,10 @@ TEST(EndToEndTest, AdaptivePingIntervalShrinksOnMisses) {
   EXPECT_EQ(after.current_ping_interval, before.current_ping_interval);
 }
 
-TEST(EndToEndTest, SilentModePublishesReverting) {
+void silent_mode_publishes_reverting(ClientKind kind) {
   TracingHarness h;
-  auto entity = h.make_entity("svc-quiet");
-  ASSERT_TRUE(h.start_tracing(*entity).is_ok());
+  auto entity = h.make_client(kind, "svc-quiet");
+  ASSERT_TRUE(h.start_tracing(entity).is_ok());
 
   auto tracker = h.make_tracker("observer");
   bool reverting = false;
@@ -197,6 +198,14 @@ TEST(EndToEndTest, SilentModePublishesReverting) {
   EXPECT_TRUE(reverting);
   EXPECT_FALSE(h.services[0]->has_session_for("svc-quiet"));
   EXPECT_EQ(h.services[0]->active_sessions(), 0u);
+}
+
+TEST(EndToEndTest, SilentModePublishesReverting) {
+  silent_mode_publishes_reverting(ClientKind::kEntity);
+}
+
+TEST(EndToEndTest, HostSilentModePublishesReverting) {
+  silent_mode_publishes_reverting(ClientKind::kHost);
 }
 
 TEST(EndToEndTest, NoTracesWithoutInterest) {

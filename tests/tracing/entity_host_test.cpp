@@ -35,6 +35,60 @@ TracingConfig digest_config() {
   return c;
 }
 
+/// Forwards to another backend, recording every frame sent from a node
+/// added through it.
+class FrameTap final : public transport::NetworkBackend {
+ public:
+  struct Frame {
+    TimePoint at = 0;
+    transport::NodeId from = 0;
+    transport::NodeId to = 0;
+    Bytes payload;
+    bool operator==(const Frame&) const = default;
+  };
+
+  explicit FrameTap(transport::NetworkBackend& inner) : inner_(inner) {}
+
+  transport::NodeId add_node(std::string name,
+                             transport::PacketHandler handler) override {
+    return inner_.add_node(std::move(name), std::move(handler));
+  }
+  void link(transport::NodeId a, transport::NodeId b,
+            const transport::LinkParams& params) override {
+    inner_.link(a, b, params);
+  }
+  void unlink(transport::NodeId a, transport::NodeId b) override {
+    inner_.unlink(a, b);
+  }
+  void detach(transport::NodeId node) override { inner_.detach(node); }
+  Status send(transport::NodeId from, transport::NodeId to,
+              transport::SharedPayload payload) override {
+    frames.push_back({inner_.now(), from, to, *payload});
+    return inner_.send(from, to, std::move(payload));
+  }
+  void post(transport::NodeId node, transport::Task task) override {
+    inner_.post(node, std::move(task));
+  }
+  transport::TimerId schedule(transport::NodeId node, Duration delay,
+                              transport::Task task) override {
+    return inner_.schedule(node, delay, std::move(task));
+  }
+  void cancel(transport::TimerId id) override { inner_.cancel(id); }
+  [[nodiscard]] TimePoint now() const override { return inner_.now(); }
+  [[nodiscard]] bool linked(transport::NodeId a,
+                            transport::NodeId b) const override {
+    return inner_.linked(a, b);
+  }
+  [[nodiscard]] std::string node_name(transport::NodeId id) const override {
+    return inner_.node_name(id);
+  }
+
+  std::vector<Frame> frames;
+
+ private:
+  transport::NetworkBackend& inner_;
+};
+
 struct HostFixture {
   explicit HostFixture(std::size_t brokers, std::size_t members,
                        TracingConfig config = digest_config())
@@ -224,6 +278,65 @@ TEST(EntityHostTest, BrokerSilenceTriggersBatchFailover) {
   const std::uint64_t answered = f.host->stats().pings_answered;
   f.h.net.run_for(1 * kSecond);
   EXPECT_GT(f.host->stats().pings_answered, answered);
+}
+
+/// Every frame a seeded host sends through registration, digested
+/// heartbeats, one member flap and one broker failover.
+std::vector<FrameTap::Frame> host_frames(std::uint64_t seed) {
+  TracingConfig c = digest_config();
+  c.broker_silence_timeout = 600 * kMillisecond;
+  RetryPolicy r;
+  r.max_attempts = 0;
+  r.initial_backoff = 50 * kMillisecond;
+  r.max_backoff = 400 * kMillisecond;
+  r.deadline = 10 * kSecond;
+  c.retry = r;
+  TracingHarness h(2, c, seed);
+  h.register_brokers();
+
+  FrameTap tap(h.net);
+  EntityHost host(tap, h.make_identity("host-0"), h.anchors, c,
+                  h.rng.next_u64());
+  host.attach_tdn(h.tdn->node(), TracingHarness::link());
+  host.connect_broker(h.brokers[0]->node(), TracingHarness::link());
+  h.net.run_for(20 * kMillisecond);
+  bool registered = false;
+  host.register_entities({}, member_ids(8), [&](const Status& s) {
+    registered = s.is_ok();
+  });
+  for (int i = 0; i < 100 && !registered; ++i) {
+    h.net.run_for(50 * kMillisecond);
+  }
+  EXPECT_TRUE(registered);
+
+  auto tracker = h.make_tracker("tracker-0", /*broker_index=*/1);
+  tracker->track_host(
+      "host-0", kCatAll, [](const TracePayload&, const pubsub::Message&) {},
+      [](const Status&) {});
+  h.net.run_for(1 * kSecond);
+
+  host.set_responsive("member-3", false);
+  h.net.run_for(1 * kSecond);
+  host.set_responsive("member-3", true);
+  h.net.run_for(500 * kMillisecond);
+
+  h.net.faults().crash(h.brokers[0]->node());
+  for (int i = 0; i < 100 && host.stats().failovers == 0; ++i) {
+    h.net.run_for(100 * kMillisecond);
+  }
+  EXPECT_EQ(host.stats().failovers, 1u);
+  h.net.run_for(1 * kSecond);
+  return tap.frames;
+}
+
+TEST(EntityHostTest, SameSeedSendsIdenticalFrames) {
+  const std::vector<FrameTap::Frame> first = host_frames(4711);
+  const std::vector<FrameTap::Frame> second = host_frames(4711);
+  ASSERT_FALSE(first.empty());
+  ASSERT_EQ(first.size(), second.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    ASSERT_TRUE(first[i] == second[i]) << "frames diverge at #" << i;
+  }
 }
 
 TEST(EntityHostTest, PassthroughConfigStillDeliversPerEntity) {

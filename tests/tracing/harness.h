@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "src/discovery/tdn.h"
 #include "src/pubsub/topology.h"
 #include "src/tracing/config.h"
+#include "src/tracing/entity_host.h"
 #include "src/tracing/trace_filter.h"
 #include "src/tracing/traced_entity.h"
 #include "src/tracing/tracing_broker.h"
@@ -26,6 +28,22 @@
 namespace et::tracing::testing {
 
 inline constexpr std::size_t kTestKeyBits = 512;
+
+/// The two traced-client kinds, for tests that run over both.
+enum class ClientKind { kEntity, kHost };
+
+/// A traced client of either kind, driven through the EntitySession API
+/// both share. Exactly one of `entity` / `host` is set.
+struct TracedClient {
+  std::unique_ptr<TracedEntity> entity;
+  std::unique_ptr<EntityHost> host;
+  /// The host's roster (empty for an entity).
+  std::vector<std::string> members;
+
+  EntitySession* operator->() const {
+    return entity ? static_cast<EntitySession*>(entity.get()) : host.get();
+  }
+};
 
 /// A ready-to-use deployment.
 class TracingHarness {
@@ -116,6 +134,31 @@ class TracingHarness {
     return e;
   }
 
+  /// Client of `kind` attached to `broker_index`, TDN wired. A host named
+  /// `<id>` carries the two-member roster `<id>-m0`, `<id>-m1`; trackers
+  /// follow either kind by tracking `<id>`.
+  TracedClient make_client(ClientKind kind, crypto::Identity identity,
+                           std::size_t broker_index = 0) {
+    TracedClient c;
+    if (kind == ClientKind::kEntity) {
+      c.entity = std::make_unique<TracedEntity>(net, std::move(identity),
+                                                anchors, config_,
+                                                rng.next_u64());
+    } else {
+      c.members = {identity.id + "-m0", identity.id + "-m1"};
+      c.host = std::make_unique<EntityHost>(net, std::move(identity), anchors,
+                                            config_, rng.next_u64());
+    }
+    c->attach_tdn(tdn->node(), link());
+    c->connect_broker(brokers.at(broker_index)->node(), link());
+    net.run_for(20 * kMillisecond);
+    return c;
+  }
+  TracedClient make_client(ClientKind kind, const std::string& id,
+                           std::size_t broker_index = 0) {
+    return make_client(kind, make_identity(id), broker_index);
+  }
+
   /// Tracker attached to `broker_index`, TDN wired.
   std::unique_ptr<Tracker> make_tracker(const std::string& id,
                                         std::size_t broker_index = 0) {
@@ -130,14 +173,20 @@ class TracingHarness {
   /// Runs start_tracing to completion; returns the outcome.
   Status start_tracing(TracedEntity& e,
                        discovery::DiscoveryRestrictions restrictions = {}) {
-    Status out = internal_error("callback never ran");
-    bool done = false;
-    e.start_tracing(std::move(restrictions), [&](const Status& s) {
-      out = s;
-      done = true;
+    return await_ready([&](EntitySession::ReadyCallback cb) {
+      e.start_tracing(std::move(restrictions), std::move(cb));
     });
-    for (int i = 0; i < 100 && !done; ++i) net.run_for(50 * kMillisecond);
-    return out;
+  }
+
+  /// Runs start_tracing (entity) or register_entities (host) to
+  /// completion; returns the outcome.
+  Status start_tracing(TracedClient& c,
+                       discovery::DiscoveryRestrictions restrictions = {}) {
+    if (c.entity) return start_tracing(*c.entity, std::move(restrictions));
+    return await_ready([&](EntitySession::ReadyCallback cb) {
+      c.host->register_entities(std::move(restrictions), c.members,
+                                std::move(cb));
+    });
   }
 
   /// Runs track() to completion; returns the outcome.
@@ -171,6 +220,20 @@ class TracingHarness {
   std::vector<std::shared_ptr<TokenVerifyCache>> token_caches;
 
  private:
+  /// Starts an operation that reports completion to a ReadyCallback and
+  /// runs virtual time until it does (or ~5 s pass).
+  Status await_ready(
+      const std::function<void(EntitySession::ReadyCallback)>& begin) {
+    Status out = internal_error("callback never ran");
+    bool done = false;
+    begin([&](const Status& s) {
+      out = s;
+      done = true;
+    });
+    for (int i = 0; i < 100 && !done; ++i) net.run_for(50 * kMillisecond);
+    return out;
+  }
+
   TracingConfig config_;
 };
 

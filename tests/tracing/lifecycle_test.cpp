@@ -1,21 +1,25 @@
-// Lifecycle features: token renewal (§4.3), DISCONNECT traces (Table 1)
-// and tracker untrack.
+// Lifecycle features: token renewal (§4.3), DISCONNECT traces (Table 1),
+// tracker untrack, and the state announced after a failover.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/transport/fault_injector.h"
 #include "tests/tracing/harness.h"
 
 namespace et::tracing {
 namespace {
 
+using testing::ClientKind;
 using testing::TracingHarness;
 
-TEST(LifecycleTest, TokenRenewalKeepsTracesVerifiable) {
+void token_renewal_keeps_traces_verifiable(ClientKind kind) {
   TracingConfig c = TracingHarness::fast_config();
   c.token_lifetime = 700 * kMillisecond;
   c.auto_renew_tokens = true;  // default, explicit for contrast
   TracingHarness h(1, c);
-  auto entity = h.make_entity("svc-renewing");
-  ASSERT_TRUE(h.start_tracing(*entity).is_ok());
+  auto entity = h.make_client(kind, "svc-renewing");
+  ASSERT_TRUE(h.start_tracing(entity).is_ok());
 
   auto tracker = h.make_tracker("long-watcher");
   int received = 0;
@@ -34,6 +38,14 @@ TEST(LifecycleTest, TokenRenewalKeepsTracesVerifiable) {
   const int before = received;
   h.net.run_for(1 * kSecond);
   EXPECT_GT(received, before);  // still flowing after ~7 lifetimes
+}
+
+TEST(LifecycleTest, TokenRenewalKeepsTracesVerifiable) {
+  token_renewal_keeps_traces_verifiable(ClientKind::kEntity);
+}
+
+TEST(LifecycleTest, HostTokenRenewalKeepsTracesVerifiable) {
+  token_renewal_keeps_traces_verifiable(ClientKind::kHost);
 }
 
 TEST(LifecycleTest, ManualRenewalReplacesDelegation) {
@@ -154,6 +166,52 @@ TEST(LifecycleTest, UntrackOneOfTwoKeepsTheOther) {
   EXPECT_EQ(a_count, a_frozen);
   EXPECT_GT(b_count, b_so_far);
   EXPECT_EQ(tracker->tracked_count(), 1u);
+}
+
+TEST(LifecycleTest, StateSetDuringRecoveryDwellIsNotOverwritten) {
+  TracingConfig c = TracingHarness::fast_config();
+  c.broker_silence_timeout = 600 * kMillisecond;
+  RetryPolicy r;
+  r.max_attempts = 0;
+  r.initial_backoff = 50 * kMillisecond;
+  r.max_backoff = 400 * kMillisecond;
+  r.deadline = 10 * kSecond;
+  c.retry = r;
+  c.recovery_announce_delay = 700 * kMillisecond;
+  TracingHarness h(2, c);
+  h.register_brokers();
+  auto entity = h.make_entity("svc-dwell", 0);
+  ASSERT_TRUE(h.start_tracing(*entity).is_ok());
+  entity->set_state(EntityState::kReady);
+
+  // The tracker sits on the broker the entity fails over to, so it sees
+  // every state the entity reports after the failover.
+  auto tracker = h.make_tracker("watcher", 1);
+  std::vector<EntityState> observed;
+  ASSERT_TRUE(h.track(*tracker, "svc-dwell", kCatAll,
+                      [&](const TracePayload& p, const pubsub::Message&) {
+                        if (p.state) observed.push_back(*p.state);
+                      })
+                  .is_ok());
+  h.net.run_for(300 * kMillisecond);
+
+  h.net.faults().crash(h.brokers[0]->node());
+  for (int i = 0; i < 100 && entity->stats().failovers == 0; ++i) {
+    h.net.run_for(50 * kMillisecond);
+  }
+  ASSERT_EQ(entity->stats().failovers, 1u);
+  ASSERT_EQ(entity->state(), EntityState::kRecovering);
+
+  // Shut down mid-dwell, late enough that the tracker's interest has
+  // reached the new hosting broker. The dwell timer must not resurrect
+  // the pre-failover READY afterwards.
+  h.net.run_for(400 * kMillisecond);
+  entity->set_state(EntityState::kShutdown);
+  h.net.run_for(2 * kSecond);
+
+  EXPECT_EQ(entity->state(), EntityState::kShutdown);
+  ASSERT_FALSE(observed.empty());
+  EXPECT_EQ(observed.back(), EntityState::kShutdown);
 }
 
 }  // namespace

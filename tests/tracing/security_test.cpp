@@ -9,6 +9,7 @@
 namespace et::tracing {
 namespace {
 
+using testing::ClientKind;
 using testing::TracingHarness;
 
 TracingConfig secure_config() {
@@ -104,26 +105,30 @@ TEST(SecurityTest, DiscoveryRestrictionsBlockUnauthorizedTrackers) {
   EXPECT_GT(h.tdn->stats().discoveries_ignored, 0u);
 }
 
-TEST(SecurityTest, RegistrationWithoutValidCredentialRejected) {
+void registration_without_valid_credential_rejected(ClientKind kind) {
   TracingHarness h;
   // An identity signed by a rogue CA the deployment does not trust.
   Rng rogue_rng(99);
   crypto::CertificateAuthority rogue_ca("rogue-ca", rogue_rng,
                                         testing::kTestKeyBits);
-  auto rogue = std::make_unique<TracedEntity>(
-      h.net, crypto::Identity::create("imposter", rogue_ca, rogue_rng,
-                                      h.net.now(), 3600 * kSecond,
-                                      testing::kTestKeyBits),
-      h.anchors, TracingHarness::fast_config(), 7);
-  rogue->attach_tdn(h.tdn->node(), TracingHarness::link());
-  rogue->connect_broker(h.brokers[0]->node(), TracingHarness::link());
-  h.net.run_for(20 * kMillisecond);
+  auto rogue = h.make_client(
+      kind, crypto::Identity::create("imposter", rogue_ca, rogue_rng,
+                                     h.net.now(), 3600 * kSecond,
+                                     testing::kTestKeyBits));
 
-  const Status s = h.start_tracing(*rogue);
+  const Status s = h.start_tracing(rogue);
   EXPECT_FALSE(s.is_ok());
   EXPECT_FALSE(h.services[0]->has_session_for("imposter"));
   // Rejected at the TDN (topic creation needs a trusted credential).
   EXPECT_GT(h.tdn->stats().rejected_requests, 0u);
+}
+
+TEST(SecurityTest, RegistrationWithoutValidCredentialRejected) {
+  registration_without_valid_credential_rejected(ClientKind::kEntity);
+}
+
+TEST(SecurityTest, HostRegistrationWithoutValidCredentialRejected) {
+  registration_without_valid_credential_rejected(ClientKind::kHost);
 }
 
 TEST(SecurityTest, ForgedRegistrationWithStolenAdvertisementRejected) {
@@ -274,12 +279,12 @@ TEST(SecurityTest, ExpiredTokenStopsTraceRouting) {
   EXPECT_GT(rejected, 0u);
 }
 
-TEST(SecurityTest, SymmetricSessionModeStillAuthenticates) {
+void symmetric_session_mode_still_authenticates(ClientKind kind) {
   TracingConfig c = TracingHarness::fast_config();
   c.signing_mode = EntitySigningMode::kSymmetricSession;  // §6.3
   TracingHarness h(1, c);
-  auto entity = h.make_entity("svc-fast");
-  ASSERT_TRUE(h.start_tracing(*entity).is_ok());
+  auto entity = h.make_client(kind, "svc-fast");
+  ASSERT_TRUE(h.start_tracing(entity).is_ok());
 
   auto tracker = h.make_tracker("fast-watcher");
   int received = 0;
@@ -308,6 +313,14 @@ TEST(SecurityTest, SymmetricSessionModeStillAuthenticates) {
 
   EXPECT_GT(h.services[0]->stats().rejected_session_messages, 0u);
   EXPECT_TRUE(h.services[0]->has_session_for("svc-fast"));  // still alive
+}
+
+TEST(SecurityTest, SymmetricSessionModeStillAuthenticates) {
+  symmetric_session_mode_still_authenticates(ClientKind::kEntity);
+}
+
+TEST(SecurityTest, HostSymmetricSessionModeStillAuthenticates) {
+  symmetric_session_mode_still_authenticates(ClientKind::kHost);
 }
 
 }  // namespace
