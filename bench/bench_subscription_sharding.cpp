@@ -1,4 +1,4 @@
-// E11 — sharded subscription table + threaded match stage.
+// E11 — sharded subscription table.
 //
 // Two views of the scaling change (DESIGN.md §9):
 //   1. Table microbench: the sharded snapshot table vs the previous
@@ -7,17 +7,11 @@
 //      workloads. "exact" is the paper's trace workload — wildcard-free
 //      UUID topics — where the sharded table resolves matches by binary
 //      search instead of a scan. "wildcard" keeps every pattern on the
-//      scan path and guards the "no regression at match_threads=0"
-//      requirement even on the sharded table's worst case (every
-//      pattern under one top-level segment).
+//      scan path and guards against a regression on the sharded table's
+//      worst case (every pattern under one top-level segment).
 //   2. Broker bench: aggregate publish->deliver throughput through one
 //      RealTimeNetwork broker carrying heavy wildcard subscription
-//      state, at match_threads 0 / 2 / 4. With workers, the match stage
-//      leaves the broker's node thread, which then only parses inbound
-//      frames and executes send stages. Note: offloading only shows a
-//      wall-clock win when the host has spare cores — the JSON reports
-//      hw_concurrency so single-core container runs (where T>0 can at
-//      best tie T=0) are interpretable.
+//      state, matching inline in its node context.
 //
 // Emits the human-readable tables of the other benches plus one JSON
 // object per table/counter set (see PaperTable::print_json) so a
@@ -171,20 +165,15 @@ constexpr int kPerPublisher = 500;
 /// Deep wildcard ballast patterns sharing the published topics' first
 /// segment: every one lands in the same candidate shard, stays on the
 /// scan path (trailing '*'), and only mismatches near its last segment,
-/// so each inbound message pays a full scan — the match stage dominates
-/// and the benefit of offloading it is visible (given spare cores).
+/// so each inbound message pays a full scan and matching dominates.
 std::string ballast_pattern(std::size_t i) {
   return "Bench/load/s1/s2/s3/s4/s5/s6/s7/s8/p" + std::to_string(i) + "/*";
 }
 
-double run_broker_throughput(int match_threads, PaperTable& table,
-                             double inline_msgs_per_sec) {
+void run_broker_throughput(PaperTable& table) {
   transport::RealTimeNetwork net(2024);
   pubsub::Topology topo(net);
-  pubsub::Broker::Options o;
-  o.name = "b0";
-  o.match_threads = match_threads;
-  pubsub::Broker& broker = topo.add_broker(std::move(o));
+  pubsub::Broker& broker = topo.add_broker({.name = "b0"});
   const transport::LinkParams link = transport::LinkParams::ideal_profile();
 
   // The sink holds the one matching subscription; the ballast client
@@ -257,18 +246,13 @@ double run_broker_throughput(int match_threads, PaperTable& table,
                               elapsed_ms;
   RunningStats per_msg;  // single aggregate sample, paper-table format
   per_msg.add(elapsed_ms / static_cast<double>(kTotal));
-  table.add_row("per-message latency, T=" + std::to_string(match_threads),
-                per_msg);
+  table.add_row("per-message latency", per_msg);
   std::printf(
       "{\"bench\":\"subscription_sharding\",\"counters\":{"
-      "\"match_threads\":%d,\"patterns\":%zu,\"messages\":%llu,"
-      "\"elapsed_ms\":%.2f,\"msgs_per_sec\":%.0f,"
-      "\"speedup_vs_inline\":%.2f,\"hw_concurrency\":%u}}\n",
-      match_threads, kBrokerPatterns,
-      static_cast<unsigned long long>(kTotal), elapsed_ms, msgs_per_sec,
-      inline_msgs_per_sec > 0 ? msgs_per_sec / inline_msgs_per_sec : 1.0,
-      std::thread::hardware_concurrency());
-  return msgs_per_sec;
+      "\"patterns\":%zu,\"messages\":%llu,"
+      "\"elapsed_ms\":%.2f,\"msgs_per_sec\":%.0f}}\n",
+      kBrokerPatterns, static_cast<unsigned long long>(kTotal), elapsed_ms,
+      msgs_per_sec);
 }
 
 }  // namespace
@@ -276,7 +260,7 @@ double run_broker_throughput(int match_threads, PaperTable& table,
 
 int main() {
   std::printf(
-      "E11: Sharded subscription table + threaded match stage\n"
+      "E11: Sharded subscription table\n"
       "Units: milliseconds.\n");
   {
     et::bench::PaperTable table(
@@ -293,10 +277,7 @@ int main() {
   {
     et::bench::PaperTable table(
         "Broker publish->deliver throughput, 2048 ballast patterns");
-    const double inline_rate =
-        et::bench::run_broker_throughput(0, table, 0.0);
-    et::bench::run_broker_throughput(2, table, inline_rate);
-    et::bench::run_broker_throughput(4, table, inline_rate);
+    et::bench::run_broker_throughput(table);
     table.print();
     table.print_json("subscription_sharding");
   }

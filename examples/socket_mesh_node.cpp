@@ -111,12 +111,14 @@ int main(int argc, char** argv) {
   transport::LinkParams wire;  // the modelled delay on top of real TCP
   wire.base_latency = 200 * kMicrosecond;
   wire.jitter_stddev = 0;
+  // The socket loop is already running: every broker mutation from main
+  // is posted into the broker's node context.
   for (const PeerSpec& p : peers) {
     const transport::NodeId peer =
         p.host.empty() ? net.add_remote(p.name)
                        : net.add_remote(p.name, p.host, p.port);
     net.link(broker.node(), peer, wire);
-    broker.peer(peer);
+    net.post(broker.node(), [&broker, peer] { broker.peer(peer); });
     // Announce ourselves even before we have traffic, so the passive side
     // can flush interest it parked for us (see SocketNetwork::connect_peer).
     if (!p.host.empty()) net.connect_peer(broker.node(), peer);
@@ -125,10 +127,13 @@ int main(int argc, char** argv) {
   }
 
   if (!subscribe_pattern.empty()) {
-    broker.subscribe_local(subscribe_pattern, [&](const pubsub::Message& m) {
-      std::printf("[%s] %s <- %s: %s\n", name.c_str(), m.topic.c_str(),
-                  m.publisher.c_str(), et::to_string(m.payload).c_str());
-      std::fflush(stdout);
+    net.post(broker.node(), [&broker, &name, &subscribe_pattern] {
+      broker.subscribe_local(
+          subscribe_pattern, [&name](const pubsub::Message& m) {
+            std::printf("[%s] %s <- %s: %s\n", name.c_str(), m.topic.c_str(),
+                        m.publisher.c_str(), et::to_string(m.payload).c_str());
+            std::fflush(stdout);
+          });
     });
   }
 

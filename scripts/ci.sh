@@ -22,8 +22,12 @@
 #   durability — the §16 persistence suites: WAL crash-recovery property
 #             tests, replay-log/ledger fuzzing, the durable-state chaos
 #             cells, plus a SocketNetwork kill-and-recover smoke
+#   perfbench — the repo benchmark (BENCHMARK.json, perfbench/README.md):
+#             a 6 s run of each workload over loopback TCP; each exits
+#             non-zero when a correctness gate fails (ledger audit, false
+#             suspicion, flood loss/duplication/reordering)
 #
-# Usage: scripts/ci.sh [fast|chaos|sockets|asan|tsan|scale|durability|all]
+# Usage: scripts/ci.sh [fast|chaos|sockets|asan|tsan|scale|durability|perfbench|all]
 # (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -131,6 +135,18 @@ run_durability() {
     -R 'Persist|Durability' ${exclude:+-E "$exclude"}
 }
 
+run_perfbench() {
+  if ! loopback_available; then
+    echo "perfbench: loopback unavailable in this environment, skipping stage"
+    return 0
+  fi
+  # run.py builds its own Release tree under .bench_build/.
+  local w
+  for w in trace-chain fleet-flap pubsub-flood; do
+    python3 perfbench/run.py --workload "$w" --seed 1 --seconds 6 --trace 0
+  done
+}
+
 case "$stage" in
   fast)    run_fast ;;
   chaos)   run_chaos ;;
@@ -139,9 +155,10 @@ case "$stage" in
   tsan)    run_tsan ;;
   scale)   run_scale ;;
   durability) run_durability ;;
+  perfbench) run_perfbench ;;
   all)     run_fast; run_chaos; run_sockets; run_asan; run_tsan; run_scale
-           run_durability ;;
+           run_durability; run_perfbench ;;
   *) echo "unknown stage: $stage" >&2
-     echo "want fast|chaos|sockets|asan|tsan|scale|durability|all" >&2
+     echo "want fast|chaos|sockets|asan|tsan|scale|durability|perfbench|all" >&2
      exit 2 ;;
 esac

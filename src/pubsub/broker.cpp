@@ -1,9 +1,5 @@
 #include "src/pubsub/broker.h"
 
-#include <condition_variable>
-#include <deque>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -40,82 +36,6 @@ bool topic_is_canonical(const TopicPath& path, std::string_view topic) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Match worker pool
-//
-// Workers pull inbound publishes off a shared queue, run the (read-only)
-// match stage against table snapshots, and post the send stage back into
-// the broker's node context. The pool holds no broker state of its own.
-
-class Broker::MatchPool {
- public:
-  struct Job {
-    Message m;
-    NodeId from;
-    TopicPath path;
-    std::optional<ConstrainedTopic> ct;
-  };
-
-  MatchPool(Broker& broker, int threads) : broker_(broker) {
-    workers_.reserve(static_cast<std::size_t>(threads));
-    for (int i = 0; i < threads; ++i) {
-      workers_.emplace_back([this] { loop(); });
-    }
-  }
-
-  ~MatchPool() {
-    {
-      std::lock_guard lock(mu_);
-      stopping_ = true;
-    }
-    cv_.notify_all();
-    for (auto& w : workers_) {
-      if (w.joinable()) w.join();
-    }
-  }
-
-  void submit(Job job) {
-    {
-      std::lock_guard lock(mu_);
-      queue_.push_back(std::move(job));
-    }
-    cv_.notify_one();
-  }
-
-  [[nodiscard]] int threads() const {
-    return static_cast<int>(workers_.size());
-  }
-
- private:
-  void loop() {
-    for (;;) {
-      Job job;
-      {
-        std::unique_lock lock(mu_);
-        cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-        if (queue_.empty()) return;  // stopping; drop the backlog
-        job = std::move(queue_.front());
-        queue_.pop_front();
-      }
-      MatchPlan plan = broker_.compute_match(job.path, job.ct);
-      // The send stage mutates sessions/counters, so it must run in the
-      // node context. std::function requires copyable captures; Message
-      // and MatchPlan both are.
-      broker_.backend_.post(
-          broker_.node_,
-          [b = &broker_, m = std::move(job.m), from = job.from,
-           plan = std::move(plan)] { b->execute_send(m, from, plan); });
-    }
-  }
-
-  Broker& broker_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Job> queue_;
-  bool stopping_ = false;
-  std::vector<std::thread> workers_;
-};
-
-// ---------------------------------------------------------------------------
 // Broker
 
 Broker::Broker(transport::NetworkBackend& backend, Options options)
@@ -130,25 +50,11 @@ Broker::Broker(transport::NetworkBackend& backend, Options options)
     unreachable_listeners_.push_back(
         std::move(options.client_unreachable_handler));
   }
-  local_services_.store(std::make_shared<const ServiceList>(),
-                        std::memory_order_release);
   node_ = backend_.add_node(
       name_, [this](NodeId from, BytesView payload) {
         on_packet(from, payload);
       });
-  // Worker-pool matching requires thread-safe post(); on single-threaded
-  // backends (VirtualTimeNetwork) clamp to the inline path so simulations
-  // stay deterministic no matter what the caller asked for.
-  if (options.match_threads > 0 && backend_.concurrent_dispatch()) {
-    match_pool_ = std::make_unique<MatchPool>(*this, options.match_threads);
-  }
   if (!misbehaviour_dir_.empty()) open_misbehaviour_store();
-}
-
-Broker::~Broker() = default;
-
-int Broker::match_threads() const {
-  return match_pool_ ? match_pool_->threads() : 0;
 }
 
 void Broker::peer(NodeId other) {
@@ -159,17 +65,7 @@ void Broker::peer(NodeId other) {
 void Broker::unpeer(NodeId other) {
   if (neighbours_.erase(other) == 0) return;
   summaries_.erase(other);
-  // Drop everything the dead peer had announced. Patterns left with no
-  // remaining local or remote interest are retracted from the surviving
-  // neighbours — same cascade as handle_unsubscribe, with no split
-  // horizon since the originator is gone.
-  for (const std::string& pattern : remote_subs_.remove_endpoint(other)) {
-    const TopicPath compiled(pattern);
-    if (!local_subs_.any_match(compiled) &&
-        !remote_subs_.any_match(compiled)) {
-      propagate_unsubscribe(compiled, pattern, transport::kInvalidNode);
-    }
-  }
+  forget_interest_of(other);
   for (const auto& listener : peer_listeners_) listener(other, false);
 }
 
@@ -185,12 +81,12 @@ void Broker::subscribe_local(const std::string& pattern, LocalHandler handler,
                              bool local_only) {
   TopicPath compiled(pattern);
   const std::string norm = compiled.canonical();
-  // Republish the service list RCU-style: node-context writers only, but
-  // match stages on worker threads may be reading the old list right now.
-  const auto cur = local_services_.load(std::memory_order_acquire);
-  auto next = std::make_shared<ServiceList>(*cur);
+  // Copy-on-write, never in place: this may run inside a handler that a
+  // MatchPlan is dispatching, and appending would reallocate the vector
+  // that handler lives in.
+  auto next = std::make_shared<ServiceList>(*local_services_);
   next->push_back({norm, compiled, std::move(handler)});
-  local_services_.store(std::move(next), std::memory_order_release);
+  local_services_ = std::move(next);
   // Register interest network-wide so remote publications reach us. The
   // broker itself is the subscriber; constrained Subscribe-Only/Broker
   // topics permit exactly this. Suppressed subscriptions stay local.
@@ -223,18 +119,16 @@ void Broker::resync_interest() {
   for (const auto& [n, table] : summaries_) {
     for (auto& p : table.recorded_patterns()) all.insert(std::move(p));
   }
-  const auto local = local_subs_.snapshot();
-  const auto remote = remote_subs_.snapshot();
-  for (const auto& p : local->patterns()) all.insert(p);
-  for (const auto& p : remote->patterns()) all.insert(p);
+  for (auto& p : local_subs_.patterns()) all.insert(std::move(p));
+  for (auto& p : remote_subs_.patterns()) all.insert(std::move(p));
   for (const NodeId n : neighbours_) {
     InterestSummaryTable& table = summary_for(n);
     for (const auto& p : all) {
       const TopicPath compiled(p);
       // Split horizon: a pattern whose only interest is the target
       // neighbour's own announcement is not echoed back to it.
-      if (!local->any_match(compiled)) {
-        const std::set<NodeId> holders = remote->match(compiled);
+      if (!local_subs_.any_match(compiled)) {
+        const std::set<NodeId> holders = remote_subs_.match(compiled);
         if (holders.size() == 1 && *holders.begin() == n) continue;
       }
       (void)table.add(compiled);
@@ -253,6 +147,26 @@ std::size_t Broker::summarized_edges() const {
 
 InterestSummaryTable& Broker::summary_for(NodeId neighbour) {
   return summaries_.try_emplace(neighbour, summary_depth_).first->second;
+}
+
+void Broker::forget_interest_of(NodeId endpoint) {
+  std::set<std::string> emptied;
+  for (auto& p : local_subs_.remove_endpoint(endpoint)) {
+    emptied.insert(std::move(p));
+  }
+  for (auto& p : remote_subs_.remove_endpoint(endpoint)) {
+    emptied.insert(std::move(p));
+  }
+  // Same cascade as handle_unsubscribe. Split horizon skips `endpoint`
+  // itself: a dropped peer is already gone from neighbours_, and a
+  // blacklisted one is about to be cut off.
+  for (const std::string& pattern : emptied) {
+    const TopicPath compiled(pattern);
+    if (!local_subs_.any_match(compiled) &&
+        !remote_subs_.any_match(compiled)) {
+      propagate_unsubscribe(compiled, pattern, endpoint);
+    }
+  }
 }
 
 void Broker::propagate_subscribe(const TopicPath& compiled,
@@ -289,7 +203,7 @@ void Broker::publish_from_broker(Message m) {
   if (m.sequence == 0) m.sequence = ++sequence_;
   if (m.timestamp == 0) m.timestamp = backend_.now();
   counters_.published.inc();
-  route(std::move(m), transport::kInvalidNode);
+  route(m, transport::kInvalidNode);
 }
 
 void Broker::add_client_unreachable_listener(
@@ -299,7 +213,7 @@ void Broker::add_client_unreachable_listener(
 
 void Broker::release_deferred(Message m, NodeId from) {
   counters_.published.inc();
-  route(std::move(m), from);
+  route(m, from);
 }
 
 void Broker::reject_deferred(NodeId from, const Status& why) {
@@ -331,8 +245,7 @@ void Broker::report_misbehaviour(NodeId endpoint, const std::string& why) {
     blacklist_.insert(endpoint);
     counters_.disconnects.inc();
     clients_.erase(endpoint);
-    local_subs_.remove_endpoint(endpoint);
-    remote_subs_.remove_endpoint(endpoint);
+    forget_interest_of(endpoint);
     backend_.unlink(node_, endpoint);
     ET_LOG(kWarn) << name_ << ": terminated communications with "
                   << backend_.node_name(endpoint);
@@ -448,7 +361,7 @@ void Broker::note_send_status(NodeId to, const Status& s) {
     if (it != clients_.end()) {
       const std::string entity_id = it->second;
       clients_.erase(it);
-      local_subs_.remove_endpoint(to);
+      forget_interest_of(to);
       for (const auto& listener : unreachable_listeners_) {
         listener(entity_id);
       }
@@ -621,48 +534,21 @@ void Broker::handle_publish(NodeId from, const FrameView& f) {
     counters_.materialized.inc();
     Message m = mv.materialize();
     m.topic = path.canonical();
-    route(std::move(m), from, std::move(path), std::move(ct));
+    route(m, from, path, ct);
     return;
   }
-  route(f, from, std::move(path), std::move(ct));
+  route(f, from, path, ct);
 }
 
-void Broker::route(Message m, NodeId arrived_from) {
-  TopicPath path(m.topic);
-  std::optional<ConstrainedTopic> ct = ConstrainedTopic::parse(path);
-  route(std::move(m), arrived_from, std::move(path), std::move(ct));
-}
-
-void Broker::route(Message m, NodeId arrived_from, TopicPath path,
-                   std::optional<ConstrainedTopic> ct) {
-  if (match_pool_) {
-    match_pool_->submit({std::move(m), arrived_from, std::move(path),
-                         std::move(ct)});
-    return;
-  }
-  const MatchPlan plan = compute_match(path, ct);
-  execute_send(m, arrived_from, plan);
-}
-
-void Broker::route(const FrameView& f, NodeId arrived_from, TopicPath path,
-                   std::optional<ConstrainedTopic> ct) {
-  if (match_pool_) {
-    // Worker-pool jobs outlive this packet handler call — and with it the
-    // wire buffer the view borrows from — so materialize now. TopicPath
-    // and ConstrainedTopic own their strings and cross safely.
-    counters_.materialized.inc();
-    match_pool_->submit({f.message->materialize(), arrived_from,
-                         std::move(path), std::move(ct)});
-    return;
-  }
-  const MatchPlan plan = compute_match(path, ct);
-  execute_send(f, arrived_from, plan);
+void Broker::route(const Message& m, NodeId arrived_from) {
+  const TopicPath path(m.topic);
+  route(m, arrived_from, path, ConstrainedTopic::parse(path));
 }
 
 Broker::MatchPlan Broker::compute_match(
     const TopicPath& path, const std::optional<ConstrainedTopic>& ct) const {
   MatchPlan plan;
-  plan.services = local_services_.load(std::memory_order_acquire);
+  plan.services = local_services_;
   for (std::size_t i = 0; i < plan.services->size(); ++i) {
     if (topic_matches((*plan.services)[i].compiled, path)) {
       plan.matched_services.push_back(i);
@@ -677,12 +563,14 @@ Broker::MatchPlan Broker::compute_match(
   return plan;
 }
 
-void Broker::execute_send(const Message& m, NodeId arrived_from,
-                          const MatchPlan& plan) {
+void Broker::route(const Message& m, NodeId arrived_from,
+                   const TopicPath& path,
+                   const std::optional<ConstrainedTopic>& ct) {
+  const MatchPlan plan = compute_match(path, ct);
   // Local services (tracing broker, etc.). Handlers may register further
   // services while running (a trace registration subscribes the session
-  // topics); the plan's snapshot pins the list iterated here, so newly
-  // appended services never see the current message.
+  // topics); the plan pins the list iterated here, so newly appended
+  // services never see the current message.
   for (const std::size_t i : plan.matched_services) {
     (*plan.services)[i].handler(m);
   }
@@ -703,7 +591,7 @@ void Broker::execute_send(const Message& m, NodeId arrived_from,
   }
 
   // Neighbour brokers with matching interest (split horizon). Empty when
-  // the match stage determined suppress-distribution applies.
+  // suppress-distribution applies.
   for (const NodeId n : plan.remote_targets) {
     if (n == arrived_from) continue;
     counters_.forwarded.inc();
@@ -711,8 +599,10 @@ void Broker::execute_send(const Message& m, NodeId arrived_from,
   }
 }
 
-void Broker::execute_send(const FrameView& f, NodeId arrived_from,
-                          const MatchPlan& plan) {
+void Broker::route(const FrameView& f, NodeId arrived_from,
+                   const TopicPath& path,
+                   const std::optional<ConstrainedTopic>& ct) {
+  const MatchPlan plan = compute_match(path, ct);
   // Local services take an owning Message; pay for the copy only when one
   // actually matched.
   if (!plan.matched_services.empty()) {

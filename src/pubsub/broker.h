@@ -20,30 +20,21 @@
 //     threshold are disconnected (paper §5.2: "the broker will terminate
 //     communications with such an entity").
 //
-// Routing is split into two stages (DESIGN.md §9):
-//   * match — resolve the inbound topic against immutable snapshots of
-//     the subscription tables and local-service list. Touches no mutable
-//     broker state, so it can run on any thread.
-//   * send  — invoke matched local services and emit frames. Runs in the
-//     broker's node context, which remains the only mutator of sessions,
-//     strikes and tables.
-// With Options::match_threads > 0 (honoured only on backends reporting
-// concurrent_dispatch(), i.e. RealTimeNetwork) the match stage of each
-// inbound publish is offloaded to a small worker pool and the send stage
-// is posted back to the node context — the node thread stays free to
-// accept further traffic while workers match. Relative delivery order of
-// concurrently matched messages is then unspecified (per-message delivery
-// stays intact); leave match_threads at 0 where ordering or determinism
-// matters. With match_threads == 0 both stages run inline, byte-for-byte
-// identical to the single-context behaviour.
+// Routing runs inline in the broker's node context (DESIGN.md §9): match
+// the inbound topic against the sharded subscription tables and the
+// local-service list, then invoke matched local services and emit
+// frames. An exact-topic match costs well under a microsecond, so one
+// thread per broker is the whole design; parallelism comes from running
+// many brokers, as the paper's deployments do.
 //
 // Threading: all mutable state is touched only from the broker's node
-// context (its packet handler and timers). Stats counters are relaxed
-// atomics and may be read from any thread. Setup calls (peer,
-// subscribe_local, add_client_unreachable_listener) must complete before
-// traffic starts. Like packet handlers, in-flight match jobs and deferred
-// filter verdicts reference the broker: stop the network before
-// destroying it.
+// context (its packet handler, timers and tasks posted to it). Stats
+// counters are relaxed atomics and may be read from any thread. Code on
+// another thread that mutates a running broker (peer, subscribe_local,
+// publish_from_broker, ...) must go through backend().post(node(), ...);
+// before traffic starts, setup calls may be made directly. Like packet
+// handlers, deferred filter verdicts reference the broker: stop the
+// network before destroying it.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +46,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/atomic_shared_ptr.h"
 #include "src/common/stats.h"
 #include "src/common/topic_path.h"
 #include "src/pubsub/constrained_topic.h"
@@ -123,8 +113,8 @@ struct BrokerStats {
   std::uint64_t discarded = 0;        // filter/constraint rejections
   std::uint64_t disconnects = 0;      // endpoints dropped for misbehaviour
   /// Owning Message copies built out of wire views (slow-path decodes:
-  /// local-service delivery, deferred verification, worker-pool jobs,
-  /// non-canonical topics). The copies-per-hop measure E15 reports: a
+  /// local-service delivery, deferred verification, non-canonical
+  /// topics). The copies-per-hop measure E15 reports: a
   /// pure-forward hop contributes 0 here.
   std::uint64_t materialized = 0;
   /// Frames forwarded by re-sending the original wire bytes (no owning
@@ -181,11 +171,6 @@ class Broker {
     /// empty. Further listeners can be appended after construction with
     /// add_client_unreachable_listener.
     ClientUnreachableHandler client_unreachable_handler{};
-    /// Worker threads for the match stage of routing. 0 = match inline
-    /// in the node context (required for deterministic VirtualTimeNetwork
-    /// runs; the broker clamps to 0 on backends without
-    /// concurrent_dispatch()).
-    int match_threads = 0;
     /// Durable misbehaviour state directory (DESIGN.md §16): strike
     /// counters and the blacklist survive a restart-with-state when set,
     /// so a misbehaver cannot launder its record by waiting out a broker
@@ -208,10 +193,6 @@ class Broker {
 
   Broker(const Broker&) = delete;
   Broker& operator=(const Broker&) = delete;
-
-  /// Joins the match worker pool. The network must already be stopped
-  /// (or this broker's node quiesced) — see the threading note above.
-  ~Broker();
 
   /// Declares `other` a neighbour broker reachable over an existing link.
   /// Call on both brokers (see connect_brokers in topology.h). Safe at
@@ -303,8 +284,6 @@ class Broker {
   /// Consistent counter snapshot; safe from any thread.
   [[nodiscard]] BrokerStats stats() const { return counters_.snapshot(); }
   [[nodiscard]] transport::NetworkBackend& backend() { return backend_; }
-  /// Match-stage worker threads actually in use (0 after clamping).
-  [[nodiscard]] int match_threads() const;
 
   /// Interest edges this broker holds: registered patterns across the
   /// local and remote subscription tables. The per-broker state the E16
@@ -359,16 +338,17 @@ class Broker {
   };
   using ServiceList = std::vector<LocalService>;
 
-  /// Result of the match stage: everything the send stage needs, resolved
-  /// entirely from immutable snapshots (safe to compute on any thread).
+  /// What one publish resolves to: the matched local services and the
+  /// client and neighbour destinations.
   struct MatchPlan {
-    std::shared_ptr<const ServiceList> services;  // pins handler lifetimes
-    std::vector<std::size_t> matched_services;    // indices into *services
+    /// Pins the list the matched indices refer to: a handler may register
+    /// further services while it runs (a trace registration subscribes
+    /// its session topics), which replaces local_services_.
+    std::shared_ptr<const ServiceList> services;
+    std::vector<std::size_t> matched_services;  // indices into *services
     std::set<transport::NodeId> local_targets;
     std::set<transport::NodeId> remote_targets;
   };
-
-  class MatchPool;
 
   void on_packet(transport::NodeId from, BytesView payload);
   void handle_connect(transport::NodeId from, const FrameView& f);
@@ -376,29 +356,20 @@ class Broker {
   void handle_unsubscribe(transport::NodeId from, const FrameView& f);
   void handle_publish(transport::NodeId from, const FrameView& f);
 
-  /// Plain-path routing: splits and grammar-parses the topic, then
-  /// matches + sends inline.
-  void route(Message m, transport::NodeId arrived_from);
+  /// Owning-message routing (broker-originated and deferred-release
+  /// messages): splits and grammar-parses the topic, then routes.
+  void route(const Message& m, transport::NodeId arrived_from);
   /// Owning-message routing over a topic split and grammar-parsed once by
-  /// the caller (broker-originated and deferred-release messages).
-  /// Dispatches to the worker pool when one is configured.
-  void route(Message m, transport::NodeId arrived_from, TopicPath path,
-             std::optional<ConstrainedTopic> ct);
-  /// View hot path: routes the inbound frame without materializing unless
-  /// a consumer needs an owning Message (worker-pool job, local service).
+  /// the caller. Serializes the publish frame once and shares the buffer
+  /// across every destination.
+  void route(const Message& m, transport::NodeId arrived_from,
+             const TopicPath& path, const std::optional<ConstrainedTopic>& ct);
+  /// View hot path: forwards the original wire bytes; the only
+  /// materialization is one owning copy when a local service matched.
   void route(const FrameView& f, transport::NodeId arrived_from,
-             TopicPath path, std::optional<ConstrainedTopic> ct);
-  /// Match stage; const and snapshot-only — thread-safe by construction.
+             const TopicPath& path, const std::optional<ConstrainedTopic>& ct);
   [[nodiscard]] MatchPlan compute_match(
       const TopicPath& path, const std::optional<ConstrainedTopic>& ct) const;
-  /// Send stage (owning path); node context only. Serializes the publish
-  /// frame once and shares the buffer across every destination.
-  void execute_send(const Message& m, transport::NodeId arrived_from,
-                    const MatchPlan& plan);
-  /// Send stage (view path): forwards the original wire bytes; the only
-  /// materialization is one owning copy when a local service matched.
-  void execute_send(const FrameView& f, transport::NodeId arrived_from,
-                    const MatchPlan& plan);
 
   /// Interest propagation to neighbour brokers (split horizon: `except`
   /// is skipped; pass kInvalidNode to address all neighbours). With
@@ -412,6 +383,10 @@ class Broker {
                              transport::NodeId except);
   /// The (lazily created) summary table for one neighbour link.
   InterestSummaryTable& summary_for(transport::NodeId neighbour);
+  /// Drops every pattern `endpoint` holds in either table (a dead peer, a
+  /// vanished client, a blacklisted offender) and retracts the patterns
+  /// left with no local or remote interest from the other neighbours.
+  void forget_interest_of(transport::NodeId endpoint);
 
   void send_frame(transport::NodeId to, const Frame& f);
 
@@ -446,11 +421,10 @@ class Broker {
   std::map<transport::NodeId, std::string> clients_;  // node -> entity id
   SubscriptionTable local_subs_;   // clients attached here
   SubscriptionTable remote_subs_;  // neighbour brokers' interest
-  /// Immutable snapshot of local services; republished on subscribe_local
-  /// (RCU like the subscription tables, and for the same reason: the
-  /// match stage may read it from a worker thread, and handlers may
-  /// register further services while a send stage iterates it).
-  AtomicSharedPtr<const ServiceList> local_services_;
+  /// Local services, replaced copy-on-write by subscribe_local so a
+  /// MatchPlan being dispatched keeps the list its handlers live in.
+  std::shared_ptr<const ServiceList> local_services_ =
+      std::make_shared<const ServiceList>();
   MessageFilter filter_;
   std::vector<ClientUnreachableHandler> unreachable_listeners_;
   std::vector<PeerListener> peer_listeners_;
@@ -462,7 +436,6 @@ class Broker {
   std::string misbehaviour_dir_;
   BrokerCounters counters_;
   std::uint64_t sequence_ = 0;
-  std::unique_ptr<MatchPool> match_pool_;  // null when match_threads == 0
 };
 
 }  // namespace et::pubsub

@@ -8,17 +8,7 @@ namespace {
 constexpr std::uint8_t kPubSubMagic = 0xB5;
 }  // namespace
 
-Bytes Message::signable_bytes() const {
-  Writer w;
-  w.str(topic);
-  w.bytes(payload);
-  w.str(publisher);
-  w.u64(sequence);
-  w.i64(timestamp);
-  w.bytes(auth_token);
-  w.boolean(encrypted);
-  return std::move(w).take();
-}
+Bytes Message::signable_bytes() const { return as_view().signable_bytes(); }
 
 void Message::encode(Writer& w) const {
   w.str(topic);
@@ -32,16 +22,7 @@ void Message::encode(Writer& w) const {
 }
 
 Message Message::decode(Reader& r) {
-  Message m;
-  m.topic = r.str();
-  m.payload = r.bytes();
-  m.publisher = r.str();
-  m.sequence = r.u64();
-  m.timestamp = r.i64();
-  m.auth_token = r.bytes();
-  m.signature = r.bytes();
-  m.encrypted = r.boolean();
-  return m;
+  return MessageView::decode(r).materialize();
 }
 
 std::size_t Message::encoded_size() const {
@@ -117,22 +98,7 @@ Bytes Frame::serialize() const {
 }
 
 Frame Frame::deserialize(BytesView b) {
-  Reader r(b);
-  if (r.u8() != kPubSubMagic) {
-    throw SerializeError("not a pub/sub frame");
-  }
-  Frame f;
-  f.type = static_cast<FrameType>(r.u8());
-  if (f.type < FrameType::kConnect || f.type > FrameType::kPeerExchange) {
-    throw SerializeError("unknown frame type");
-  }
-  f.text = r.str();
-  f.status = r.u32();
-  f.detail = r.str();
-  f.request_id = r.u64();
-  if (r.boolean()) f.message = Message::decode(r);
-  r.expect_done();
-  return f;
+  return FrameView::parse(b).materialize();
 }
 
 Frame FrameView::materialize() const {

@@ -7,16 +7,16 @@
 // (paper §4.3: "All trace messages generated by a broker need to include
 // the token").
 //
-// Two decode layers exist. `Frame::deserialize` produces an owning
-// `Frame`/`Message` — every variable-length field deep-copied out of the
-// wire buffer. `FrameView::parse` is the zero-copy alternative: all
-// fields are string_views/BytesViews borrowed from the wire bytes, valid
-// only as long as the buffer behind them (a backend's delivery view or
-// receive arena, i.e. the duration of a packet handler call). Brokers
-// route over views — a pure-forward hop re-sends the original wire bytes
-// and never materializes an owning Message; only the paths that must
-// mutate, re-sign, or defer a message (VerifyPipeline parking, payload
-// decryption) pay for `materialize()`.
+// There is one decoder per wire format. `FrameView::parse` is the
+// zero-copy decode: all fields are string_views/BytesViews borrowed from
+// the wire bytes, valid only as long as the buffer behind them (a
+// backend's delivery view or receive arena, i.e. the duration of a packet
+// handler call). Brokers route over views — a pure-forward hop re-sends
+// the original wire bytes and never materializes an owning Message; only
+// the paths that must mutate, re-sign, or defer a message (VerifyPipeline
+// parking, payload decryption) pay for `materialize()`.
+// `Frame::deserialize` and `Message::decode` are that decode followed by
+// `materialize()`.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +77,7 @@ struct MessageView {
   BytesView signature;
   bool encrypted = false;
 
-  /// Canonical signable encoding, identical to Message::signable_bytes().
+  /// Canonical byte encoding of the fields covered by signatures.
   [[nodiscard]] Bytes signable_bytes() const;
 
   /// Deep-copies into an owning Message. The escape hatch for paths that
@@ -133,8 +133,8 @@ struct FrameView {
   /// Deep-copies into an owning Frame.
   [[nodiscard]] Frame materialize() const;
 
-  /// Throws SerializeError on malformed input. Performs exactly the same
-  /// validation as Frame::deserialize (magic, type range, trailing bytes).
+  /// Throws SerializeError on malformed input (bad magic, unknown type,
+  /// truncated field, trailing bytes).
   static FrameView parse(BytesView b);
 };
 

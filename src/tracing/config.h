@@ -138,16 +138,12 @@ struct TracingConfig {
     /// context at the same virtual timestamp, so simulations stay
     /// bit-for-bit deterministic. 0 = drain in the node context.
     int threads = 0;
-    /// Most messages one drain pass takes off the queue; on concurrent
-    /// backends reaching this backlog triggers an immediate drain.
+    /// Most messages one drain pass takes off the queue on concurrent
+    /// backends. A drain starts as soon as the stage is idle — sparse
+    /// traffic pays no added wait, and bursts still batch because
+    /// messages arriving while a drain is busy queue up for the next pass
+    /// (group-commit style).
     std::size_t batch_max = 64;
-    /// Accumulation window on concurrent backends. 0 (default) drains as
-    /// soon as the stage is idle — sparse traffic pays no added wait, and
-    /// bursts still batch because messages arriving while a drain is busy
-    /// queue up for the next pass (group-commit style). A positive value
-    /// deliberately holds the queue up to this long to build deeper
-    /// batches; it bounds the extra latency a queued trace can see.
-    Duration batch_delay = 0;
   };
   Verification verification;
 };

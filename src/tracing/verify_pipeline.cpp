@@ -43,8 +43,8 @@ struct VerifyPipeline::Group {
   bool cacheable_reject = false;              // commit negative entry
 };
 
-/// Drain worker pool: same shape as Broker's match pool — a mutex/condvar
-/// task queue drained by `threads` joinable workers.
+/// Drain worker pool: a mutex/condvar task queue drained by `threads`
+/// joinable workers.
 class VerifyPipeline::Pool {
  public:
   explicit Pool(int threads) {
@@ -108,20 +108,13 @@ VerifyPipeline::VerifyPipeline(TrustAnchors anchors,
       on_verdict_(std::move(on_verdict)),
       concurrent_(backend.concurrent_dispatch()) {
   // Worker threads only make sense when the backend tolerates posts from
-  // foreign threads; clamping (rather than rejecting) mirrors
-  // Broker::Options::match_threads so one config runs on both backends.
+  // foreign threads; clamping (rather than rejecting) lets one config run
+  // on both backends.
   pool_threads_ = concurrent_ && config_.threads > 0 ? config_.threads : 0;
   if (pool_threads_ > 0) pool_ = std::make_unique<Pool>(pool_threads_);
 }
 
 VerifyPipeline::~VerifyPipeline() {
-  transport::TimerId timer = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    timer = delay_timer_;
-    delay_timer_ = 0;
-  }
-  if (timer != 0) backend_.cancel(timer);
   pool_.reset();  // joins workers; any in-flight drain completes first
 }
 
@@ -140,31 +133,10 @@ void VerifyPipeline::admit(pubsub::Broker& self, pubsub::Message m,
 
 void VerifyPipeline::maybe_start_drain(std::unique_lock<std::mutex>& lock) {
   if (queue_.empty() || drain_active_) return;
-  if (!concurrent_) {
-    // Virtual time: drain as soon as possible — the backend runs the task
-    // at the same virtual timestamp, after any publications already
-    // enqueued there, so same-timestamp arrivals still batch.
-    start_drain_locked(lock);
-    return;
-  }
-  if (queue_.size() >= config_.batch_max || config_.batch_delay == 0) {
-    // Full batch, or no accumulation window configured: drain now. With
-    // batch_delay == 0 batching still happens under load — everything
-    // admitted while this drain is busy forms the next batch.
-    start_drain_locked(lock);
-    return;
-  }
-  if (delay_timer_ == 0) {
-    // Latency bound: the oldest queued message waits at most batch_delay.
-    delay_timer_ = backend_.schedule(node_, config_.batch_delay, [this] {
-      std::unique_lock<std::mutex> relock(mu_);
-      delay_timer_ = 0;
-      if (!queue_.empty() && !drain_active_) start_drain_locked(relock);
-    });
-  }
-}
-
-void VerifyPipeline::start_drain_locked(std::unique_lock<std::mutex>& lock) {
+  // Drain as soon as the stage is idle. Virtual time runs the task at the
+  // same virtual timestamp, after any publications already enqueued
+  // there, so same-timestamp arrivals still batch; in real time
+  // everything admitted while this drain is busy forms the next batch.
   drain_active_ = true;
   lock.unlock();
   if (pool_) {

@@ -24,14 +24,11 @@
 //     All trace publications that arrive at one timestamp are verified in
 //     one batch and released before time advances — runs are bit-for-bit
 //     identical to each other, and message-for-message identical to the
-//     inline filter. Verification::threads/batch_max/batch_delay are
-//     ignored.
-//   * RealTimeNetwork: with batch_delay == 0 a drain fires whenever the
-//     stage is idle and the queue is non-empty (sparse traffic pays no
-//     added wait; bursts batch anyway because admissions during a busy
-//     drain pile up for the next pass). With batch_delay > 0 the queue
-//     accumulates until it holds Verification::batch_max messages or the
-//     oldest has waited batch_delay, whichever comes first. With
+//     inline filter. Verification::threads/batch_max are ignored.
+//   * RealTimeNetwork: a drain fires whenever the stage is idle and the
+//     queue is non-empty (sparse traffic pays no added wait; bursts batch
+//     anyway because admissions during a busy drain pile up for the next
+//     pass), taking at most Verification::batch_max messages. With
 //     Verification::threads > 0 the drain runs on a worker pool (key
 //     groups of one batch are verified concurrently); with 0 it is posted
 //     to the node context.
@@ -40,8 +37,8 @@
 // the message filter). The token cache is touched only by the drain
 // coordinator; successive drains are serialized through the queue mutex,
 // so the cache still sees single-threaded access. stats() reads relaxed
-// atomics and is safe from any thread. Like in-flight match jobs, drain
-// tasks reference the broker: stop the network before destroying it.
+// atomics and is safe from any thread. Like packet handlers, drain tasks
+// reference the broker: stop the network before destroying it.
 #pragma once
 
 #include <cstdint>
@@ -142,7 +139,6 @@ class VerifyPipeline {
   /// Starts a drain if one should run now; called with `lock` held (it is
   /// released before any backend call).
   void maybe_start_drain(std::unique_lock<std::mutex>& lock);
-  void start_drain_locked(std::unique_lock<std::mutex>& lock);
   /// Drain coordinator: batch, group, verify, commit cache stores, then
   /// apply (inline when already in the node context, else posted back).
   void run_drain();
@@ -167,7 +163,6 @@ class VerifyPipeline {
   mutable std::mutex mu_;
   std::deque<Pending> queue_;
   bool drain_active_ = false;
-  transport::TimerId delay_timer_ = 0;
 
   internal::PipelineCounters counters_;
 };

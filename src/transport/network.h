@@ -115,10 +115,11 @@ class NetworkBackend {
   /// True when this backend runs node contexts on real threads and its
   /// `send`/`post`/`schedule` entry points are safe from any thread —
   /// i.e. callers may stand up their own worker threads and post results
-  /// back into a node's context. Brokers consult this before enabling
-  /// their match worker pool (Broker::Options::match_threads); the
-  /// single-threaded VirtualTimeNetwork reports false so deterministic
-  /// simulations can never be perturbed by caller-side threading.
+  /// back into a node's context. The verification pipeline consults this
+  /// before enabling its drain pool (TracingConfig::Verification::
+  /// threads); the single-threaded VirtualTimeNetwork reports false so
+  /// deterministic simulations can never be perturbed by caller-side
+  /// threading.
   [[nodiscard]] virtual bool concurrent_dispatch() const { return false; }
 
   /// True when the two nodes are directly linked.

@@ -93,7 +93,7 @@ class SocketNetwork final : public NetworkBackend {
   TimerId schedule(NodeId node, Duration delay, Task task) override;
   void cancel(TimerId id) override;
   [[nodiscard]] TimePoint now() const override { return clock_.now(); }
-  /// send/post/schedule are thread-safe; brokers may run match pools.
+  /// send/post/schedule are thread-safe; worker pools may post back.
   [[nodiscard]] bool concurrent_dispatch() const override { return true; }
   [[nodiscard]] bool linked(NodeId a, NodeId b) const override;
   [[nodiscard]] std::string node_name(NodeId id) const override;

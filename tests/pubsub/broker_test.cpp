@@ -311,6 +311,92 @@ TEST_F(BrokerFixture, LocalServiceInterestPropagatesAcrossBrokers) {
   EXPECT_EQ(got, (std::vector<std::string>{"over the wire"}));
 }
 
+TEST_F(BrokerFixture, LocalServiceRegisteredDuringDispatchSeesOnlyLaterMessages) {
+  // A local-service handler may register further services while it is
+  // being dispatched (a tracing registration subscribes its session
+  // topics). The new service must not see the in-flight message, must see
+  // the next one, and registering must not invalidate the running handler.
+  Broker& b = topo.add_broker({.name = "b0"});
+  std::vector<std::string> first_got;
+  std::vector<std::string> second_got;
+  b.subscribe_local("svc/#", [&](const Message& m) {
+    first_got.push_back(et::to_string(m.payload));
+    if (first_got.size() == 1) {
+      // Enough registrations to force the service list to reallocate.
+      for (int i = 0; i < 16; ++i) {
+        b.subscribe_local("svc/x", [&](const Message& later) {
+          second_got.push_back(et::to_string(later.payload));
+        });
+      }
+    }
+    // Touches the handler's own captures after the registrations above.
+    first_got.back() += "!";
+  });
+  Client c(net, "c");
+  c.connect(b.node(), fast());
+  net.run_until_idle();
+  c.publish("svc/x", to_bytes("one"));
+  net.run_until_idle();
+  EXPECT_EQ(first_got, (std::vector<std::string>{"one!"}));
+  EXPECT_TRUE(second_got.empty());
+
+  c.publish("svc/x", to_bytes("two"));
+  net.run_until_idle();
+  EXPECT_EQ(first_got, (std::vector<std::string>{"one!", "two!"}));
+  EXPECT_EQ(second_got, std::vector<std::string>(16, "two"));
+}
+
+TEST_F(BrokerFixture, BlacklistedSubscriberInterestIsRetractedUpstream) {
+  auto brokers = topo.make_chain(2, fast());
+  Client pub(net, "p");
+  Client sub(net, "s");
+  pub.connect(brokers[0]->node(), fast());
+  sub.connect(brokers[1]->node(), fast());
+  int got = 0;
+  sub.subscribe("x/y", [&](const Message&) { ++got; });
+  net.run_until_idle();
+  ASSERT_EQ(brokers[0]->interest_edges(), 1u);
+
+  // The hosting broker terminates communications with the subscriber
+  // (paper §5.2). Its interest must not keep traffic flowing toward it.
+  net.post(brokers[1]->node(), [&] {
+    for (int i = 0; i < 5; ++i) brokers[1]->report_misbehaviour(sub.node(), "x");
+  });
+  net.run_until_idle();
+  ASSERT_TRUE(brokers[1]->is_blacklisted(sub.node()));
+  EXPECT_EQ(brokers[0]->interest_edges(), 0u);
+
+  pub.publish("x/y", to_bytes("after"));
+  net.run_until_idle();
+  EXPECT_EQ(got, 0);
+  EXPECT_EQ(brokers[0]->stats().forwarded, 0u);
+}
+
+TEST_F(BrokerFixture, VanishedSubscriberInterestIsRetractedUpstream) {
+  auto brokers = topo.make_chain(2, fast());
+  Client pub(net, "p");
+  Client sub(net, "s");
+  pub.connect(brokers[0]->node(), fast());
+  sub.connect(brokers[1]->node(), fast());
+  int got = 0;
+  sub.subscribe("x/y", [&](const Message&) { ++got; });
+  net.run_until_idle();
+
+  // The subscriber's access link disappears. The first publish after the
+  // cut still travels to its broker, whose delivery fails and drops the
+  // client; its interest must then be retracted from the upstream broker.
+  net.unlink(sub.node(), brokers[1]->node());
+  pub.publish("x/y", to_bytes("one"));
+  net.run_until_idle();
+  EXPECT_EQ(brokers[0]->stats().forwarded, 1u);
+  EXPECT_EQ(brokers[0]->interest_edges(), 0u);
+
+  pub.publish("x/y", to_bytes("two"));
+  net.run_until_idle();
+  EXPECT_EQ(got, 0);
+  EXPECT_EQ(brokers[0]->stats().forwarded, 1u);
+}
+
 TEST_F(BrokerFixture, OptionsConstructionWiresFilterAndHandler) {
   Broker::Options o;
   o.name = "b0";
@@ -334,39 +420,13 @@ TEST_F(BrokerFixture, OptionsConstructionWiresFilterAndHandler) {
   EXPECT_EQ(b.stats().discarded, 2u);
 }
 
-TEST_F(BrokerFixture, MatchThreadsClampedOnVirtualTimeBackend) {
-  // VirtualTimeNetwork reports concurrent_dispatch() == false, so the
-  // requested worker pool must be clamped away and routing stays inline
-  // and deterministic.
-  Broker::Options o;
-  o.name = "b0";
-  o.match_threads = 4;
-  Broker& b = topo.add_broker(std::move(o));
-  EXPECT_EQ(b.match_threads(), 0);
-
-  Client pub(net, "p");
-  Client sub(net, "s");
-  pub.connect(b.node(), fast());
-  sub.connect(b.node(), fast());
-  int got = 0;
-  sub.subscribe("t/#", [&](const Message&) { ++got; });
-  net.run_until_idle();
-  pub.publish("t/x", to_bytes("1"));
-  net.run_until_idle();
-  EXPECT_EQ(got, 1);
-}
-
 TEST_F(BrokerFixture, VirtualTimeRunsAreDeterministicWithMatchThreadsSet) {
-  // Same seed + same scenario must give an identical delivery transcript
-  // even when match_threads is requested (it is clamped on this backend).
+  // Same seed + same scenario must give an identical delivery transcript.
   auto run_once = [] {
     std::vector<std::string> transcript;
     transport::VirtualTimeNetwork vnet(99);
     Topology vtopo(vnet);
-    Broker::Options o;
-    o.name = "d0";
-    o.match_threads = 4;
-    Broker& b = vtopo.add_broker(std::move(o));
+    Broker& b = vtopo.add_broker({.name = "d0"});
     Client pub(vnet, "p");
     Client sub(vnet, "s");
     pub.connect(b.node(), fast());

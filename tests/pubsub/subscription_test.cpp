@@ -140,43 +140,6 @@ TEST(SubscriptionTableTest, EmptyTopicOnlyReachesWildcardPatterns) {
   EXPECT_EQ(match(t, ""), (std::set<transport::NodeId>{1}));
 }
 
-TEST(SubscriptionTableTest, SnapshotIsImmutableUnderLaterWrites) {
-  SubscriptionTable t;
-  t.add("a/b", 1);
-  const auto snap = t.snapshot();
-  ASSERT_TRUE(snap != nullptr);
-  EXPECT_EQ(snap->pattern_count(), 1u);
-  EXPECT_EQ(snap->match(TopicPath("a/b")),
-            (std::set<transport::NodeId>{1}));
-
-  // Mutate the table after taking the snapshot: the snapshot must keep
-  // reporting the old state while the table reports the new one.
-  t.add("a/b", 2);
-  t.add("c/d", 3);
-  t.remove("a/b", 1);
-  EXPECT_EQ(snap->pattern_count(), 1u);
-  EXPECT_EQ(snap->match(TopicPath("a/b")),
-            (std::set<transport::NodeId>{1}));
-  EXPECT_FALSE(snap->any_match(TopicPath("c/d")));
-
-  EXPECT_EQ(match(t, "a/b"), (std::set<transport::NodeId>{2}));
-  EXPECT_TRUE(t.any_match(TopicPath("c/d")));
-}
-
-TEST(SubscriptionTableTest, SnapshotReadsAgreeWithTableShorthands) {
-  SubscriptionTable t;
-  t.add("x/*/z", 1);
-  t.add("x/#", 2);
-  t.add("#", 3);
-  const auto snap = t.snapshot();
-  const TopicPath topic("x/y/z");
-  EXPECT_EQ(snap->match(topic), t.match(topic));
-  EXPECT_EQ(snap->any_match(topic), t.any_match(topic));
-  EXPECT_EQ(snap->endpoint_matches(2, topic), t.endpoint_matches(2, topic));
-  EXPECT_EQ(snap->patterns(), t.patterns());
-  EXPECT_EQ(snap->pattern_count(), t.pattern_count());
-}
-
 TEST(SubscriptionTableTest, ManyFirstSegmentsAllRouteCorrectly) {
   // More distinct first segments than shards: every hashed bucket gets
   // exercised, and matches must never leak across segments.
