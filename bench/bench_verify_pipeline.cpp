@@ -11,10 +11,11 @@
 // Caching is disabled on both sides so the measurement isolates the
 // batching/amortization win (E10 measures the token-verdict cache).
 //
-// Sweeps burst size x distinct delegate keys x drain threads, a batch_max
-// sweep at fixed burst, and the single-message path (batch size 1) where
-// the pipeline must not regress against the inline filter. Emits paper
-// tables plus JSON rows/counters (speedup_* keys) for trajectories.
+// Sweeps burst size x distinct delegate keys, and the single-message path
+// (batch size 1) where the pipeline must not regress against the inline
+// filter. Drains run in the host broker's node context, as in a
+// deployment. Emits paper tables plus JSON rows/counters (speedup_* keys)
+// for trajectories.
 #include <atomic>
 #include <cstdio>
 #include <map>
@@ -108,21 +109,17 @@ class PipelineBench {
   /// Mean ms per burst through the batched pipeline: admit everything,
   /// wait for the last deferred verdict. A fresh (cacheless) pipeline per
   /// round keys every drain cold, mirroring time_inline.
-  double time_pipeline(const std::vector<pubsub::Message>& msgs, int threads,
-                       std::size_t batch_max, std::size_t rounds,
-                       PaperTable& table, const std::string& label) {
+  double time_pipeline(const std::vector<pubsub::Message>& msgs,
+                       std::size_t rounds, PaperTable& table,
+                       const std::string& label) {
     const std::string expected = ad_.topic().to_string();
     SystemClock clock;
     RunningStats stats;
     for (std::size_t r = 0; r <= rounds; ++r) {
-      tracing::TracingConfig::Verification v;
-      v.cache_capacity = 0;
-      v.threads = threads;
-      v.batch_max = batch_max;
       std::atomic<std::size_t> done{0};
       tracing::VerifyPipeline pipe(
-          anchors_, net_, nullptr, v, [&done](bool accepted) {
-            if (!accepted) std::abort();
+          anchors_, net_, nullptr, [&done](const Status& verdict) {
+            if (!verdict.is_ok()) std::abort();
             done.fetch_add(1, std::memory_order_relaxed);
           });
       const TimePoint a = clock.now();
@@ -203,7 +200,7 @@ int main() {
   using et::bench::PaperTable;
   std::printf(
       "E12: Batched verification pipeline vs inline trace filter\n"
-      "Units: milliseconds per burst (tables 1-2), per message (table 3).\n");
+      "Units: milliseconds per burst (table 1), per message (tables 2-3).\n");
   et::bench::PipelineBench fx;
   std::map<std::string, double> mean;  // label -> ms, for speedup counters
 
@@ -218,28 +215,13 @@ int main() {
           " " + std::to_string(burst) + "msg/4key";
       mean["inline" + suffix] =
           fx.time_inline(slice, 6, table, "inline," + suffix);
-      for (const int threads : {0, 2, 4}) {
-        mean["pipe_t" + std::to_string(threads) + suffix] = fx.time_pipeline(
-            slice, threads, 64, 6, table,
-            "pipeline t" + std::to_string(threads) + "," + suffix);
-      }
+      mean["pipe" + suffix] =
+          fx.time_pipeline(slice, 6, table, "pipeline," + suffix);
     }
     mean["inline 64msg/1key"] =
         fx.time_inline(msgs1, 6, table, "inline, 64msg/1key");
-    mean["pipe_t0 64msg/1key"] =
-        fx.time_pipeline(msgs1, 0, 64, 6, table, "pipeline t0, 64msg/1key");
-    table.print();
-    table.print_json("verify_pipeline");
-  }
-
-  {
-    PaperTable table("batch_max sweep, 256-msg burst, 4 keys, threads=2");
-    const auto msgs = fx.make_messages(256, 4);
-    for (const std::size_t bm :
-         {std::size_t{16}, std::size_t{64}, std::size_t{256}}) {
-      fx.time_pipeline(msgs, 2, bm, 4, table,
-                       "pipeline batch_max=" + std::to_string(bm));
-    }
+    mean["pipe 64msg/1key"] =
+        fx.time_pipeline(msgs1, 6, table, "pipeline, 64msg/1key");
     table.print();
     table.print_json("verify_pipeline");
   }
@@ -249,7 +231,7 @@ int main() {
     const auto one = fx.make_messages(1, 1);
     mean["inline single"] = fx.time_inline(one, 40, table, "inline, 1 msg");
     mean["pipe single"] =
-        fx.time_pipeline(one, 0, 64, 40, table, "pipeline t0, 1 msg");
+        fx.time_pipeline(one, 40, table, "pipeline, 1 msg");
     table.print();
     table.print_json("verify_pipeline");
   }
@@ -263,12 +245,12 @@ int main() {
   }
 
   const double speedup64 =
-      mean["pipe_t0 64msg/4key"] > 0
-          ? mean["inline 64msg/4key"] / mean["pipe_t0 64msg/4key"]
+      mean["pipe 64msg/4key"] > 0
+          ? mean["inline 64msg/4key"] / mean["pipe 64msg/4key"]
           : 0.0;
   const double speedup256 =
-      mean["pipe_t0 256msg/4key"] > 0
-          ? mean["inline 256msg/4key"] / mean["pipe_t0 256msg/4key"]
+      mean["pipe 256msg/4key"] > 0
+          ? mean["inline 256msg/4key"] / mean["pipe 256msg/4key"]
           : 0.0;
   const double single_ratio = mean["pipe single"] > 0
                                   ? mean["inline single"] / mean["pipe single"]

@@ -12,7 +12,8 @@
 #             end-to-end framing tests) with a hard timeout; skipped
 #             gracefully where loopback sockets are unavailable
 #   asan    — ET_SANITIZE=address build of the codec-edge and robustness
-#             suites: over-read probes on the framing/view decoders
+#             suites (over-read probes on the framing/view decoders) and
+#             the verification pipeline suites
 #   tsan    — ET_SANITIZE=thread build running the concurrency-sensitive
 #             suites, including the socket backend and the RealTimeNetwork
 #             chaos scenario and overlay-repair smokes
@@ -88,9 +89,11 @@ run_asan() {
   # overlong cases, corrupted-frame parses, and the wire robustness
   # suites — the decoders' no-over-read contract, enforced. The Persist
   # suites add the WAL/snapshot/ledger decoders fed truncated, bit-flipped
-  # and garbage inputs (DESIGN.md §16).
+  # and garbage inputs (DESIGN.md §16). The verification pipeline suites
+  # check that a batch never reads a token-cache entry a store has
+  # evicted (DESIGN.md §10).
   ctest --test-dir build-asan --output-on-failure --timeout 300 -R \
-    'FrameAssembler|FrameCodec|Robustness|Persist'
+    'FrameAssembler|FrameCodec|Robustness|Persist|VerifyPipeline|PipelineFixture'
 }
 
 run_tsan() {
@@ -102,7 +105,7 @@ run_tsan() {
   # smokes (the latter matches via "RealTime").
   # Persist rides along: fsync/close ordering under TSan's happens-before
   # checking costs little and keeps the durability layer in the matrix.
-  local filter='Realtime|RealTime|ChaosRealTimeSmoke|Threaded|Persist'
+  local filter='Realtime|RealTime|ChaosRealTimeSmoke|Persist'
   if loopback_available; then
     filter="$filter|BackendConformance|SocketNetwork|FrameCodec"
   else

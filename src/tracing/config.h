@@ -117,33 +117,16 @@ struct TracingConfig {
   /// 1:1 passthrough.
   Duration timer_wheel_tick = 0;
 
-  /// Per-hop verification knobs: the token-verdict cache plus the batched
-  /// verification pipeline that drains each broker's trace backlog in
-  /// key-grouped passes (DESIGN.md §10).
+  /// Per-hop verification knobs (DESIGN.md §8, §10). Each broker's
+  /// trace filter defers trace publications into a verification pipeline
+  /// that drains in its node context, one key-grouped batch per pass.
   struct Verification {
     /// Token-verification cache capacity (distinct tokens). The paper
     /// notes brokers may "keep track of previously computed verifications"
     /// (§4.3); 0 disables the cache and every trace pays the full RSA
-    /// chain again.
+    /// chain again. Cached verdicts live at most kTokenCacheTtl
+    /// (token_verify_cache.h).
     std::size_t cache_capacity = 1024;
-    /// Upper bound on reusing a cached verification verdict without
-    /// re-running the full chain. Bounds the window during which an
-    /// advertisement or credential that expired *after* the token was
-    /// verified could still be honoured; token windows themselves are
-    /// re-checked on every hit.
-    Duration cache_ttl = 60 * kSecond;
-    /// Worker threads for the pipeline's drain stage. Honoured only on
-    /// backends reporting concurrent_dispatch() (RealTimeNetwork); on
-    /// VirtualTimeNetwork the queue drains inline in the broker's node
-    /// context at the same virtual timestamp, so simulations stay
-    /// bit-for-bit deterministic. 0 = drain in the node context.
-    int threads = 0;
-    /// Most messages one drain pass takes off the queue on concurrent
-    /// backends. A drain starts as soon as the stage is idle — sparse
-    /// traffic pays no added wait, and bursts still batch because
-    /// messages arriving while a drain is busy queue up for the next pass
-    /// (group-commit style).
-    std::size_t batch_max = 64;
   };
   Verification verification;
 };

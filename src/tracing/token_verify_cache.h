@@ -28,8 +28,8 @@
 //     token simply runs the full chain again.
 //
 // Threading: like pubsub::Broker, a cache instance is owned by one broker
-// and touched only from that broker's node context; it is not internally
-// synchronized.
+// and touched only from that broker's node context, where the trace filter
+// and its verification drains run; it is not internally synchronized.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +43,12 @@
 #include "src/tracing/authorization_token.h"
 
 namespace et::tracing {
+
+/// How long a broker reuses a cached verdict before re-running the full
+/// chain. Bounds the window during which an advertisement or credential
+/// that expired *after* the token was verified could still be honoured;
+/// token windows themselves are re-checked on every hit.
+inline constexpr Duration kTokenCacheTtl = 60 * kSecond;
 
 /// Counter snapshot exported alongside BrokerStats for benches and tests.
 /// Returned by value from TokenVerifyCache::stats(), which may be called

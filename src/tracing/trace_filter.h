@@ -26,10 +26,10 @@
 // counters, the token cache and its hit rates, and the pipeline's
 // batch-stage counters.
 //
-// make_trace_filter() still builds the *inline* reference filter — every
-// message fully verified on the spot, no deferral — which benches compare
-// the pipeline against and tests use to exercise verification without a
-// running overlay.
+// make_trace_filter() builds the *inline* reference filter — the same
+// gates, then verify_traces() on a batch of one, no deferral — which
+// benches compare the pipeline against and tests use to exercise
+// verification without a running overlay.
 #pragma once
 
 #include <memory>
@@ -120,28 +120,23 @@ class TraceFilterHandle {
   std::shared_ptr<VerifyPipeline> pipeline_;
 };
 
-/// Builds the uncached inline (reference) filter; `backend` supplies the
-/// verification clock. Every message pays the full verification chain.
-pubsub::MessageFilter make_trace_filter(const TrustAnchors& anchors,
-                                        transport::NetworkBackend& backend);
-
-/// Builds the inline filter with a token-verification cache and optional
-/// verdict counters. `cache` may be nullptr (equivalent to the uncached
-/// filter); it must outlive the filter and, like the broker it serves, is
-/// touched only from that broker's node context. `counters`, when given,
-/// is incremented per verdict (relaxed atomics, readable anywhere).
+/// Builds the inline (reference) filter; `backend` supplies the
+/// verification clock. `cache` may be nullptr (every message pays the
+/// full chain); it must outlive the filter and, like the broker it
+/// serves, is touched only from that broker's node context.
 pubsub::MessageFilter make_trace_filter(
     const TrustAnchors& anchors, transport::NetworkBackend& backend,
-    std::shared_ptr<TokenVerifyCache> cache,
-    std::shared_ptr<internal::FilterCounters> counters = nullptr);
+    std::shared_ptr<TokenVerifyCache> cache = nullptr);
 
 /// Fills `options.message_filter` with the pipeline-backed trace filter
-/// for a broker about to be constructed on `backend`, sized per
-/// `config.verification` (cache capacity/TTL + batch knobs). Returns the
+/// for a broker about to be constructed on `backend`, with a token cache
+/// of `config.verification.cache_capacity` entries. `on_verdict`, when
+/// given, sees every trace publication's verdict (inline gate rejections
+/// and deferred outcomes alike) in the broker's node context. Returns the
 /// stats handle.
-TraceFilterHandle install_trace_filter(pubsub::Broker::Options& options,
-                                       const TrustAnchors& anchors,
-                                       transport::NetworkBackend& backend,
-                                       const TracingConfig& config = {});
+TraceFilterHandle install_trace_filter(
+    pubsub::Broker::Options& options, const TrustAnchors& anchors,
+    transport::NetworkBackend& backend, const TracingConfig& config = {},
+    VerifyPipeline::VerdictHook on_verdict = {});
 
 }  // namespace et::tracing

@@ -2,8 +2,9 @@
 // must behave observably like the inline one. Forged traces admitted to
 // the queue are rejected, counted as misbehaviour of the sending peer and
 // never reorder deliveries — an earlier accepted trace on the same topic
-// always arrives first. Virtual-time runs stay deterministic; the
-// real-time variant drives a threaded drain pool and is the suite's TSan
+// always arrives first. The inline reference filter and the pipeline
+// reject every class of bad trace with the same status code. Virtual-time
+// runs stay deterministic; the real-time burst is the suite's TSan
 // target.
 #include <gtest/gtest.h>
 
@@ -209,8 +210,9 @@ TEST_F(PipelineFixture, BatchedDrainGroupsByDelegateKeyFingerprint) {
                                                   /*ttl=*/60 * kSecond);
   std::atomic<int> ok{0};
   std::atomic<int> bad{0};
-  VerifyPipeline pipe(anchors, net, cache, TracingConfig::Verification{},
-                      [&](bool accepted) { (accepted ? ok : bad)++; });
+  VerifyPipeline pipe(anchors, net, cache, [&](const Status& verdict) {
+    (verdict.is_ok() ? ok : bad)++;
+  });
 
   const crypto::RsaKeyPair key_a = crypto::rsa_generate(rng, kBits);
   const crypto::RsaKeyPair key_b = crypto::rsa_generate(rng, kBits);
@@ -243,6 +245,188 @@ TEST_F(PipelineFixture, BatchedDrainGroupsByDelegateKeyFingerprint) {
   EXPECT_EQ(cache->stats().insertions, 2u);
   // Released messages entered the host's routing stage.
   EXPECT_EQ(host.stats().published, 6u);
+}
+
+TEST_F(PipelineFixture, SameTimestampDrainStoresAfterEachGroupUnderEviction) {
+  pubsub::Broker host(net, {.name = "host"});
+  pubsub::Broker peer(net, {.name = "peer"});
+  auto cache = std::make_shared<TokenVerifyCache>(/*capacity=*/2,
+                                                  /*ttl=*/60 * kSecond);
+  std::vector<Status> verdicts;
+  VerifyPipeline pipe(anchors, net, cache, [&](const Status& verdict) {
+    verdicts.push_back(verdict);
+  });
+
+  const crypto::RsaKeyPair key_a = crypto::rsa_generate(rng, kBits);
+  const crypto::RsaKeyPair key_b = crypto::rsa_generate(rng, kBits);
+  const crypto::RsaKeyPair key_c = crypto::rsa_generate(rng, kBits);
+  const crypto::RsaKeyPair key_d = crypto::rsa_generate(rng, kBits);
+  const AuthorizationToken tok_a = make_token(key_a, owner.keys.private_key);
+  const AuthorizationToken tok_b = make_token(key_b, owner.keys.private_key);
+  const AuthorizationToken tok_c = make_token(key_c, owner.keys.private_key);
+  const AuthorizationToken forged = make_forged_token(key_d);
+  const std::string expected_topic = ad.topic().to_string();
+  std::uint64_t seq = 0;
+  auto admit = [&](const AuthorizationToken& t,
+                   const crypto::RsaKeyPair& signer) {
+    pipe.admit(host, make_trace(ad, t, signer, ++seq, net.now()),
+               expected_topic, peer.node());
+  };
+
+  // Warm drain: A then B stored, so the LRU holds [B, A].
+  admit(tok_a, key_a);
+  admit(tok_b, key_b);
+  net.run_for(1 * kMillisecond);
+  ASSERT_EQ(verdicts.size(), 2u);
+
+  // One drain, four key groups in first-appearance order A, C, B, D, over
+  // a cache that holds two. Each group stores its verdict before the next
+  // looks up: A hits; C's store evicts B, so B misses and its store evicts
+  // A; D's negative entry evicts C. C's second message carries B's
+  // signature and must fail on its own.
+  admit(tok_a, key_a);
+  admit(tok_c, key_c);
+  admit(tok_b, key_b);
+  admit(forged, key_d);
+  admit(tok_a, key_a);
+  admit(tok_c, key_b);
+  admit(tok_b, key_b);
+  admit(forged, key_d);
+  net.run_for(1 * kMillisecond);
+
+  ASSERT_EQ(verdicts.size(), 10u);
+  const std::vector<Code> expected = {
+      Code::kOk,  Code::kOk, Code::kOk,  Code::kUnauthenticated,
+      Code::kOk,  Code::kUnauthenticated, Code::kOk,
+      Code::kUnauthenticated};
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(verdicts[i + 2].code(), expected[i]) << "message " << i;
+  }
+  EXPECT_EQ(verdicts[7].message(),
+            "trace message not signed by the delegate key");
+
+  const TokenCacheStats cs = cache->stats();
+  EXPECT_EQ(cs.hits, 1u);
+  EXPECT_EQ(cs.negative_hits, 0u);
+  EXPECT_EQ(cs.misses, 5u);
+  EXPECT_EQ(cs.insertions, 5u);
+  EXPECT_EQ(cs.evictions, 3u);
+  EXPECT_EQ(cache->size(), 2u);
+
+  const VerifyPipelineStats ps = pipe.stats();
+  EXPECT_EQ(ps.drains, 2u);
+  EXPECT_EQ(ps.batched, 10u);
+  EXPECT_EQ(ps.keys_deduped, 4u);
+  EXPECT_EQ(ps.max_drain_depth, 8u);
+  EXPECT_TRUE(pipe.idle());
+  EXPECT_EQ(host.stats().published, 7u);
+}
+
+// --- differential: inline reference filter vs install_trace_filter ----------
+
+TEST_F(PipelineFixture, InlineFilterAndPipelineAgreeOnEveryRejectionClass) {
+  net.run_for(1 * kSecond);  // lets a short token window lapse below
+
+  pubsub::Topology topo(net);
+  pubsub::Broker& b0 = topo.add_broker({.name = "b0"});
+  // Every class is a strike; keep the peer connected through all of them.
+  pubsub::Broker::Options o{.name = "b1", .misbehaviour_threshold = 1000};
+  std::vector<Status> deferred;
+  TraceFilterHandle handle =
+      install_trace_filter(o, anchors, net, {}, [&](const Status& verdict) {
+        deferred.push_back(verdict);
+      });
+  pubsub::Broker& b1 = topo.add_broker(std::move(o));
+  topo.connect_brokers(b0, b1, transport::LinkParams::ideal_profile());
+  const pubsub::MessageFilter reference = make_trace_filter(anchors, net);
+
+  const crypto::RsaKeyPair key = crypto::rsa_generate(rng, kBits);
+  const crypto::RsaKeyPair other_key = crypto::rsa_generate(rng, kBits);
+  const AuthorizationToken good = make_token(key, owner.keys.private_key);
+  const discovery::TopicAdvertisement other_ad =
+      make_ad(owner, tdn_keys, Uuid::generate(rng));
+  Rng rogue_rng(23);
+  crypto::CertificateAuthority rogue_ca("rogue-ca", rogue_rng, kBits);
+  const crypto::Identity rogue = crypto::Identity::create(
+      "owner-1", rogue_ca, rogue_rng, 0, 3600 * kSecond, kBits);
+  const discovery::TopicAdvertisement rogue_ad =
+      make_ad(rogue, tdn_keys, Uuid::generate(rng));
+
+  int delivered = 0;
+  for (const Uuid& t : {ad.topic(), other_ad.topic(), rogue_ad.topic()}) {
+    b1.subscribe_local(pubsub::trace_topics::trace_publication(
+                           t.to_string(), "AllUpdates"),
+                       [&](const pubsub::Message&) { ++delivered; });
+  }
+  net.run_for(10 * kMillisecond);
+
+  struct Case {
+    const char* name;
+    pubsub::Message msg;
+    Code code;
+  };
+  std::uint64_t seq = 0;
+  auto trace = [&](const discovery::TopicAdvertisement& on,
+                   const AuthorizationToken& t,
+                   const crypto::RsaKeyPair& signer) {
+    return make_trace(on, t, signer, ++seq, net.now());
+  };
+  std::vector<Case> cases;
+  cases.push_back({"valid", trace(ad, good, key), Code::kOk});
+  {
+    pubsub::Message m = trace(ad, good, key);
+    m.auth_token.clear();
+    cases.push_back({"no token", std::move(m), Code::kUnauthenticated});
+  }
+  {
+    pubsub::Message m = trace(ad, good, key);
+    m.auth_token = to_bytes("not a token");
+    cases.push_back({"malformed token", std::move(m), Code::kUnauthenticated});
+  }
+  cases.push_back({"wrong trace topic", trace(other_ad, good, key),
+                   Code::kPermissionDenied});
+  cases.push_back(
+      {"non-publish rights",
+       trace(ad,
+             AuthorizationToken::create(ad, key.public_key,
+                                        TokenRights::kSubscribe, 0,
+                                        600 * kSecond, owner.keys.private_key),
+             key),
+       Code::kPermissionDenied});
+  cases.push_back({"forged delegate signature", trace(ad, good, other_key),
+                   Code::kUnauthenticated});
+  cases.push_back(
+      {"lapsed token",
+       trace(ad,
+             AuthorizationToken::create(ad, key.public_key,
+                                        TokenRights::kPublish, 0,
+                                        1 * kMillisecond,
+                                        owner.keys.private_key),
+             key),
+       Code::kExpired});
+  cases.push_back(
+      {"owner credential not from the CA",
+       trace(rogue_ad, make_token(key, rogue.keys.private_key), key),
+       Code::kUnauthenticated});
+
+  for (const Case& c : cases) {
+    const pubsub::FilterVerdict inline_verdict =
+        reference(b0, c.msg.as_view(), b0.node());
+    EXPECT_EQ(inline_verdict.status.code(), c.code) << c.name;
+    EXPECT_EQ(inline_verdict.accepted(), c.code == Code::kOk) << c.name;
+
+    const std::size_t before = deferred.size();
+    b0.publish_from_broker(c.msg);
+    net.run_for(5 * kMillisecond);
+    ASSERT_EQ(deferred.size(), before + 1) << c.name;
+    EXPECT_EQ(deferred.back().code(), inline_verdict.status.code()) << c.name;
+  }
+  EXPECT_EQ(delivered, 1);
+  const TraceFilterStats fs = handle.stats();
+  EXPECT_EQ(fs.checked, cases.size());
+  EXPECT_EQ(fs.accepted, 1u);
+  EXPECT_EQ(fs.rejected, cases.size() - 1);
+  EXPECT_FALSE(b1.is_blacklisted(b0.node()));
 }
 
 // --- determinism ------------------------------------------------------------
@@ -278,9 +462,9 @@ TEST(VerifyPipelineDeterminismTest, VirtualTimeRunsAreRepeatable) {
   EXPECT_EQ(a, b);
 }
 
-// --- real-time / threaded drain (TSan target) -------------------------------
+// --- real-time drain (TSan target) ----------------------------------------
 
-TEST(VerifyPipelineRealTimeTest, ThreadedBurstKeepsOrderAndCountsForgeries) {
+TEST(VerifyPipelineRealTimeTest, BurstKeepsOrderAndCountsForgeries) {
   transport::RealTimeNetwork net;
   Rng rng(131);
   const TimePoint t0 = net.now();  // steady-clock epoch, NOT zero
@@ -294,13 +478,10 @@ TEST(VerifyPipelineRealTimeTest, ThreadedBurstKeepsOrderAndCountsForgeries) {
 
   pubsub::Topology topo(net);
   pubsub::Broker& b0 = topo.add_broker({.name = "rt-b0"});
-  TracingConfig cfg;
-  cfg.verification.threads = 2;
-  cfg.verification.batch_max = 16;
   // Strikes are the assertion here, not disconnection: keep the peer
   // connected through all 18 forgeries so later messages still flow.
   pubsub::Broker::Options o{.name = "rt-b1", .misbehaviour_threshold = 1000};
-  TraceFilterHandle handle = install_trace_filter(o, anchors, net, cfg);
+  TraceFilterHandle handle = install_trace_filter(o, anchors, net);
   pubsub::Broker& b1 = topo.add_broker(std::move(o));
   transport::LinkParams link = transport::LinkParams::ideal_profile();
   link.base_latency = 200;  // 0.2 ms
@@ -361,11 +542,10 @@ TEST(VerifyPipelineRealTimeTest, ThreadedBurstKeepsOrderAndCountsForgeries) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
 
-  EXPECT_EQ(handle.pipeline()->verify_threads(), 2);
   {
     const std::lock_guard<std::mutex> l(mu);
     // FIFO link + FIFO queue + in-order apply: the accepted traces arrive
-    // in exactly their admission order even with a threaded drain stage.
+    // in exactly their admission order.
     EXPECT_EQ(delivered, expected_good);
   }
   const TraceFilterStats fs = handle.stats();
