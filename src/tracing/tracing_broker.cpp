@@ -41,35 +41,15 @@ TracingBrokerService::TracingBrokerService(pubsub::Broker& broker,
       [this](const pubsub::Message& m) { handle_batch_registration(m); },
       /*local_only=*/true);
   // A client whose link vanished without a silent-mode request gets a
-  // DISCONNECT trace (paper Table 1) and its session torn down. For a host
-  // session every roster member is disconnected individually so trackers
-  // keep per-entity semantics.
+  // DISCONNECT trace (paper Table 1) and its session torn down. Every
+  // member is disconnected individually so trackers keep per-entity
+  // semantics for a host's roster.
   broker_.add_client_unreachable_listener([this](const std::string& entity) {
     const auto it = by_entity_.find(entity);
     if (it == by_entity_.end()) return;
     const auto sit = sessions_.find(it->second);
     if (sit == sessions_.end()) return;
-    Session& s = sit->second;
-    const Uuid sid = s.session_id;
-    if (s.is_host()) {
-      const auto members = s.members;
-      for (const auto h : members) {
-        if (!sessions_.contains(sid)) return;
-        if (!roster_.contains(h)) continue;
-        TracePayload p;
-        p.type = TraceType::kDisconnect;
-        p.entity_id = roster_[h].entity_id;
-        p.detail = "client link lost";
-        publish_trace(s, std::move(p));
-      }
-    } else {
-      TracePayload p;
-      p.type = TraceType::kDisconnect;
-      p.entity_id = entity;
-      p.detail = "client link lost";
-      publish_trace(s, std::move(p));
-    }
-    if (sessions_.contains(sid)) erase_session(s);
+    disconnect_session(sit->second, "client link lost");
   });
 }
 
@@ -89,11 +69,9 @@ TracingBrokerService::SessionView TracingBrokerService::session_view(
   v.current_ping_interval = s.ping_interval;
   v.effective_interest = effective_interest(s);
   v.secure = s.secure;
-  if (s.entity_id == entity_id || !s.is_host()) {
-    v.suspected = s.suspected;
-    v.failed = s.failed;
-    return v;
-  }
+  // A host id names no member: report the session-level escalation.
+  v.suspected = s.consecutive_misses >= config_.suspicion_misses;
+  v.failed = s.consecutive_misses >= config_.failed_misses;
   for (const auto h : s.members) {
     if (!roster_.contains(h)) continue;
     const MemberRecord& rec = roster_[h];
@@ -197,6 +175,8 @@ void TracingBrokerService::mint_session(const std::string& id,
   s.advertisement = ad;
   s.session_key = crypto::SecretKey::generate(rng_, config_.symmetric_alg);
   s.ping_interval = config_.ping_interval;
+  s.batch = !member_ids.empty();
+  if (!s.batch) member_ids.push_back(id);  // a roster of one
   s.members.reserve(member_ids.size());
   for (std::string& member : member_ids) {
     s.members.push_back(roster_.emplace(MemberRecord{std::move(member)}));
@@ -420,6 +400,19 @@ void TracingBrokerService::handle_token_delivery(Session& s,
   }
 }
 
+template <typename Fn>
+bool TracingBrokerService::for_each_member(Session& s, Fn&& fn) {
+  // Indexing `s.members` stays valid while the session lives: only
+  // mint_session and erase_session touch a session's roster.
+  const Uuid sid = s.session_id;
+  for (std::size_t i = 0; i < s.members.size(); ++i) {
+    if (!roster_.contains(s.members[i])) continue;
+    fn(roster_[s.members[i]], i);
+    if (!sessions_.contains(sid)) return false;
+  }
+  return true;
+}
+
 void TracingBrokerService::member_miss(Session& s, MemberRecord& rec) {
   ++rec.consecutive_misses;
   if (!rec.failed && rec.consecutive_misses >= config_.failed_misses) {
@@ -458,6 +451,18 @@ void TracingBrokerService::member_alive(Session& s, MemberRecord& rec) {
   publish_trace(s, std::move(p));
 }
 
+void TracingBrokerService::disconnect_session(Session& s,
+                                              const std::string& detail) {
+  const bool live = for_each_member(s, [&](MemberRecord& rec, std::size_t) {
+    TracePayload p;
+    p.type = TraceType::kDisconnect;
+    p.entity_id = rec.entity_id;
+    p.detail = detail;
+    publish_trace(s, std::move(p));
+  });
+  if (live) erase_session(s);
+}
+
 void TracingBrokerService::on_ping_timer(const Uuid& session_id) {
   const auto it = sessions_.find(session_id);
   if (it == sessions_.end()) return;
@@ -469,74 +474,26 @@ void TracingBrokerService::on_ping_timer(const Uuid& session_id) {
     ++s.consecutive_misses;
     // Hasten detection: shrink the interval (§3.3).
     s.ping_interval = std::max(config_.min_ping_interval, s.ping_interval / 2);
-    if (s.is_host()) {
-      // Whole-host miss: every member accrues one miss and escalates on
-      // its own thresholds. Session-level flags track the host for the
-      // disconnect escalation below; no host-level trace is published —
-      // trackers observe per-member suspicions.
-      s.suspected = s.consecutive_misses >= config_.suspicion_misses;
-      s.failed = s.consecutive_misses >= config_.failed_misses;
-      const auto members = s.members;
-      for (const auto h : members) {
-        if (!sessions_.contains(session_id)) return;
-        if (!roster_.contains(h)) continue;
-        member_miss(s, roster_[h]);
-      }
-      if (!sessions_.contains(session_id)) return;
-    } else if (!s.failed && s.consecutive_misses >= config_.failed_misses) {
-      s.failed = true;
-      ++stats_.failures;
-      TracePayload p;
-      p.type = TraceType::kFailed;
-      p.entity_id = s.entity_id;
-      p.detail = "no ping response after " +
-                 std::to_string(s.consecutive_misses) + " attempts";
-      publish_trace(s, std::move(p));
-    } else if (!s.suspected &&
-               s.consecutive_misses >= config_.suspicion_misses) {
-      s.suspected = true;
-      ++stats_.suspicions;
-      TracePayload p;
-      p.type = TraceType::kFailureSuspicion;
-      p.entity_id = s.entity_id;
-      p.detail = std::to_string(s.consecutive_misses) +
-                 " consecutive pings unanswered";
-      publish_trace(s, std::move(p));
+    // Every member accrues one miss and escalates on its own thresholds.
+    if (!for_each_member(s, [&](MemberRecord& rec, std::size_t) {
+          member_miss(s, rec);
+        })) {
+      return;
     }
   }
 
-  // Final escalation: once an entity has stayed FAILED long enough
+  // Final escalation: once the session has stayed FAILED long enough
   // (disconnect_misses total consecutive misses), presume departure —
   // publish DISCONNECT and drop the session instead of probing forever.
   // The entity must then re-register, so trackers observe an explicit
   // RECOVERING -> READY transition rather than an unexplained revival.
-  if (config_.disconnect_misses > 0 && s.failed &&
+  const bool failed = s.consecutive_misses >= config_.failed_misses;
+  if (config_.disconnect_misses > 0 && failed &&
       s.consecutive_misses >= config_.disconnect_misses) {
     ++stats_.disconnects;
-    if (s.is_host()) {
-      const auto members = s.members;
-      for (const auto h : members) {
-        if (!sessions_.contains(session_id)) return;
-        if (!roster_.contains(h)) continue;
-        TracePayload p;
-        p.type = TraceType::kDisconnect;
-        p.entity_id = roster_[h].entity_id;
-        p.detail = "presumed departed: " +
-                   std::to_string(s.consecutive_misses) +
-                   " consecutive pings unanswered";
-        publish_trace(s, std::move(p));
-      }
-    } else {
-      TracePayload p;
-      p.type = TraceType::kDisconnect;
-      p.entity_id = s.entity_id;
-      p.detail = "presumed departed: " + std::to_string(s.consecutive_misses) +
-                 " consecutive pings unanswered";
-      publish_trace(s, std::move(p));
-    }
-    // The publish may have reentrantly torn the session down already.
-    const auto sit = sessions_.find(session_id);
-    if (sit != sessions_.end()) erase_session(sit->second);
+    disconnect_session(s, "presumed departed: " +
+                              std::to_string(s.consecutive_misses) +
+                              " consecutive pings unanswered");
     return;
   }
 
@@ -569,7 +526,7 @@ void TracingBrokerService::on_ping_timer(const Uuid& session_id) {
     s.window.pop_front();
   }
 
-  const Duration next = s.failed ? config_.ping_interval : s.ping_interval;
+  const Duration next = failed ? config_.ping_interval : s.ping_interval;
   const Uuid sid = s.session_id;
   s.ping_timer = wheel_.schedule(next, [this, sid] { on_ping_timer(sid); });
 }
@@ -597,35 +554,21 @@ void TracingBrokerService::handle_ping_response(Session& s,
   s.consecutive_misses = 0;
   // Relax the interval back toward the configured base.
   s.ping_interval = std::min(config_.ping_interval, s.ping_interval * 2);
-  const bool was_down = s.suspected || s.failed;
-  s.suspected = false;
-  s.failed = false;
 
-  if (s.is_host()) {
-    // Fan the liveness bitmap back out: bit i covers roster member i.
-    // A responsive host answers for its members; a clear bit is a
-    // per-member miss even though the host itself is up.
-    const Uuid sid = s.session_id;
-    const auto members = s.members;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (!sessions_.contains(sid)) return;
-      if (!roster_.contains(members[i])) continue;
-      const bool alive = i / 8 < sm.liveness.size() &&
-                         ((sm.liveness[i / 8] >> (i % 8)) & 1u) != 0;
-      if (alive) {
-        member_alive(s, roster_[members[i]]);
-      } else {
-        member_miss(s, roster_[members[i]]);
-      }
+  // Fan the answer back out to the members. A batch response's liveness
+  // bitmap has bit i for roster member i: a responsive host answers for
+  // its members, and a clear bit is a per-member miss even though the
+  // host itself is up. A single entity's answer means its member is up.
+  const bool batch = s.batch;
+  for_each_member(s, [&](MemberRecord& rec, std::size_t i) {
+    const bool alive = !batch || (i / 8 < sm.liveness.size() &&
+                                  ((sm.liveness[i / 8] >> (i % 8)) & 1u) != 0);
+    if (alive) {
+      member_alive(s, rec);
+    } else {
+      member_miss(s, rec);
     }
-    return;
-  }
-
-  TracePayload p;
-  p.type = TraceType::kAllsWell;
-  p.entity_id = s.entity_id;
-  if (was_down) p.detail = "entity responsive again";
-  publish_trace(s, std::move(p));
+  });
 }
 
 void TracingBrokerService::on_metrics_timer(const Uuid& session_id) {

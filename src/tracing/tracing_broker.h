@@ -12,11 +12,15 @@
 //     possession + advertisement provenance) and mints sessions with
 //     hybrid-encrypted responses (§3.2); batch registrations mint one
 //     session for a whole co-hosted entity roster (DESIGN.md §14);
-//   * pings each traced entity on an adaptive interval, maintains the
-//     last-10-pings window, and escalates FAILURE_SUSPICION -> FAILED on
-//     consecutive misses (§3.3); for host sessions one ping covers the
-//     roster and the response's liveness bitmap drives per-member
-//     escalation;
+//   * pings each session on an adaptive interval, maintains the
+//     last-10-pings window, and escalates FAILURE_SUSPICION -> FAILED ->
+//     DISCONNECT on consecutive misses (§3.3). One liveness engine serves
+//     both session kinds: a single traced entity is a roster of one
+//     member, a host's roster has one member per co-hosted entity, and
+//     every per-entity trace is built once, for a member. One ping covers
+//     the whole roster; a host's response carries a liveness bitmap with
+//     one bit per member, a single entity's answer means its member is
+//     alive;
 //   * publishes traces on the per-category derived topics through a
 //     TraceEmitter, every one carrying the entity's authorization token
 //     and a delegate-key signature (§4.3); with digests enabled, plain
@@ -30,8 +34,9 @@
 //
 // All session timers ride a coalescing TimerWheel, so armed backend
 // timers are O(distinct deadlines), not O(sessions), once
-// TracingConfig::timer_wheel_tick is set. Member records live in a
-// SlotArena so broker memory per entity is a measured constant.
+// TracingConfig::timer_wheel_tick is set. Member records (one per traced
+// entity, of either session kind) live in a SlotArena so broker memory
+// per entity is a measured constant.
 //
 // All state is touched in the broker's node context only.
 #pragma once
@@ -99,13 +104,14 @@ class TracingBrokerService {
   [[nodiscard]] TimerWheel::Stats timer_stats() const {
     return wheel_.stats();
   }
-  /// Heap footprint of the member roster arena (bytes/entity accounting).
+  /// Heap footprint of the member roster arena (bytes/entity accounting;
+  /// every traced entity, single or co-hosted, holds one record).
   [[nodiscard]] std::size_t roster_bytes() const { return roster_.bytes(); }
   [[nodiscard]] std::size_t roster_size() const { return roster_.size(); }
 
-  /// Ping-window diagnostics for one traced entity (tests). For a batch
-  /// member the flags come from its roster record; interval/interest are
-  /// the host session's.
+  /// Ping-window diagnostics for one traced entity (tests). The flags
+  /// come from the entity's member record (for a host id, from the
+  /// session-level miss count); interval/interest are the session's.
   struct SessionView {
     bool exists = false;
     bool suspected = false;
@@ -128,9 +134,10 @@ class TracingBrokerService {
     std::uint8_t mask = 0;
     std::uint64_t last_round = 0;
   };
-  /// One co-hosted entity of a batch session. Lives in the roster arena;
-  /// the session holds handles in registration order (= liveness bit
-  /// order).
+  /// Liveness of one traced entity: the entity of a single-entity
+  /// session, or one co-hosted entity of a batch session. Lives in the
+  /// roster arena; the session holds handles in registration order
+  /// (= liveness bit order).
   struct MemberRecord {
     std::string entity_id;
     int consecutive_misses = 0;
@@ -154,16 +161,19 @@ class TracingBrokerService {
     /// by broker failover has no recorded interest yet, and its
     /// RECOVERING announcement must not vanish).
     std::optional<EntityState> last_state;
-    /// Batch-session roster handles, in liveness-bit order. Empty for
-    /// single-entity sessions.
+    /// Roster handles, in liveness-bit order: one member (the entity
+    /// itself) for a single-entity session.
     std::vector<SlotArena<MemberRecord>::Handle> members;
+    /// Registered through the batch topic; ping responses then carry a
+    /// liveness bitmap.
+    bool batch = false;
 
     Duration ping_interval = 0;
     std::uint64_t next_ping_number = 1;
     std::uint64_t last_responded = 0;
+    /// Unanswered pings in a row. Paces pings and drives the
+    /// disconnect_misses teardown; per-entity escalation is per member.
     int consecutive_misses = 0;
-    bool suspected = false;
-    bool failed = false;
     std::deque<PingRecord> window;  // last N pings
     std::map<std::uint64_t, TimePoint> outstanding;
 
@@ -173,8 +183,6 @@ class TracingBrokerService {
     TimerWheel::WheelId ping_timer = 0;
     TimerWheel::WheelId gauge_timer = 0;
     TimerWheel::WheelId metrics_timer = 0;
-
-    [[nodiscard]] bool is_host() const { return !members.empty(); }
   };
 
   void handle_registration(const pubsub::Message& m);
@@ -187,7 +195,8 @@ class TracingBrokerService {
                            const discovery::TopicAdvertisement& advertisement,
                            std::uint64_t request_id);
   /// Mints the session, wires its topics/timers and sends the sealed
-  /// response. `member_ids` non-empty makes it a batch (host) session.
+  /// response. `member_ids` non-empty makes it a batch (host) session;
+  /// otherwise the entity `id` is its one member.
   void mint_session(const std::string& id, const crypto::Credential& cred,
                     const discovery::TopicAdvertisement& ad,
                     std::uint64_t request_id,
@@ -203,10 +212,19 @@ class TracingBrokerService {
   void handle_token_delivery(Session& s, const SessionMessage& sm);
   void deliver_trace_key(Session& s, const InterestResponse& resp);
   void publish_trace(Session& s, TracePayload payload);
-  /// Per-member miss/recovery escalation for host sessions. Both may
-  /// reentrantly tear the session down; callers re-check liveness.
+  /// Calls `fn(record, bit)` for each member of `s` in liveness-bit
+  /// order. A publish inside `fn` may reentrantly tear the session down;
+  /// the walk then stops and returns false (`s` is dead).
+  template <typename Fn>
+  bool for_each_member(Session& s, Fn&& fn);
+  /// Per-member miss/recovery escalation: the only producers of
+  /// FAILURE_SUSPICION, FAILED and ALLS_WELL ping traces. Both may
+  /// reentrantly tear the session down.
   void member_miss(Session& s, MemberRecord& rec);
   void member_alive(Session& s, MemberRecord& rec);
+  /// Publishes DISCONNECT with `detail` for every member, then tears the
+  /// session down; the reference is dead afterwards.
+  void disconnect_session(Session& s, const std::string& detail);
   void publish_registration_error(const std::string& entity_id,
                                   std::uint64_t request_id,
                                   const std::string& error);
