@@ -469,8 +469,9 @@ void TracingBrokerService::on_ping_timer(const Uuid& session_id) {
   Session& s = it->second;
   const TimePoint now = broker_.backend().now();
 
-  // Account for the previous ping if it is still outstanding.
-  if (!s.outstanding.empty()) {
+  // A miss means the previous ping is still unanswered. Older unanswered
+  // pings were counted on their own ticks.
+  if (!s.window.empty() && !s.window.back().responded) {
     ++s.consecutive_misses;
     // Hasten detection: shrink the interval (§3.3).
     s.ping_interval = std::max(config_.min_ping_interval, s.ping_interval / 2);
@@ -519,10 +520,8 @@ void TracingBrokerService::on_ping_timer(const Uuid& session_id) {
   // stable across foreign erases).
   if (!sessions_.contains(session_id)) return;
 
-  s.outstanding[ping.ping_number] = now;
   s.window.push_back(PingRecord{ping.ping_number, now, false, 0, false});
   while (s.window.size() > static_cast<std::size_t>(config_.ping_history)) {
-    s.outstanding.erase(s.window.front().number);
     s.window.pop_front();
   }
 
@@ -533,23 +532,17 @@ void TracingBrokerService::on_ping_timer(const Uuid& session_id) {
 
 void TracingBrokerService::handle_ping_response(Session& s,
                                                 const SessionMessage& sm) {
-  const auto out = s.outstanding.find(sm.ping_number);
-  if (out == s.outstanding.end()) return;  // stale/duplicate response
-  const TimePoint now = broker_.backend().now();
-  const Duration rtt = now - sm.ping_timestamp;
-  s.outstanding.erase(out);
+  // The window is the only record of unanswered pings: a response to a
+  // ping that has left it, or a second response, is stale.
+  const auto ping = std::find_if(
+      s.window.begin(), s.window.end(),
+      [&](const PingRecord& r) { return r.number == sm.ping_number; });
+  if (ping == s.window.end() || ping->responded) return;
   ++stats_.ping_responses;
-
-  const bool out_of_order = sm.ping_number < s.last_responded;
+  ping->responded = true;
+  ping->rtt = broker_.backend().now() - sm.ping_timestamp;
+  ping->out_of_order = sm.ping_number < s.last_responded;
   s.last_responded = std::max(s.last_responded, sm.ping_number);
-  for (auto& rec : s.window) {
-    if (rec.number == sm.ping_number) {
-      rec.responded = true;
-      rec.rtt = rtt;
-      rec.out_of_order = out_of_order;
-      break;
-    }
-  }
 
   s.consecutive_misses = 0;
   // Relax the interval back toward the configured base.
@@ -581,15 +574,16 @@ void TracingBrokerService::on_metrics_timer(const Uuid& session_id) {
     std::size_t responded = 0, ooo = 0;
     double rtt_sum = 0;
     for (const auto& rec : s.window) {
-      // Pings still outstanding aren't losses yet.
       if (rec.responded) {
         ++responded;
         rtt_sum += to_millis(rec.rtt);
         if (rec.out_of_order) ++ooo;
       }
     }
+    // Only the newest ping can still be in flight: any older unanswered
+    // ping was counted as a miss on the tick that followed it.
     const std::size_t settled =
-        s.window.size() - s.outstanding.size();
+        s.window.size() - (s.window.back().responded ? 0 : 1);
     if (settled > 0) {
       metrics.loss_rate =
           static_cast<double>(settled - responded) / settled;

@@ -174,8 +174,8 @@ class TracingBrokerService {
     /// Unanswered pings in a row. Paces pings and drives the
     /// disconnect_misses teardown; per-entity escalation is per member.
     int consecutive_misses = 0;
-    std::deque<PingRecord> window;  // last N pings
-    std::map<std::uint64_t, TimePoint> outstanding;
+    /// The last N pings; the only record of which are unanswered.
+    std::deque<PingRecord> window;
 
     std::uint64_t gauge_round = 0;
     std::map<std::string, TrackerInterest> interests;

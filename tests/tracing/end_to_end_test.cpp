@@ -3,6 +3,8 @@
 // tracker verification, across single- and multi-broker deployments.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "tests/tracing/harness.h"
 
 namespace et::tracing {
@@ -264,6 +266,62 @@ TEST(EndToEndTest, NetworkMetricsReportLinkBehaviour) {
   EXPECT_GT(last.mean_rtt_ms, 0.5);
   EXPECT_LT(last.mean_rtt_ms, 50.0);
   EXPECT_EQ(last.loss_rate, 0.0);
+}
+
+/// Makes `entity` drop exactly the next ping it receives.
+void drop_next_ping(TracingHarness& h, TracedEntity& entity) {
+  const std::uint64_t received = entity.stats().pings_received;
+  entity.set_responsive(false);
+  while (entity.stats().pings_received == received) {
+    h.net.run_for(1 * kMillisecond);
+  }
+  entity.set_responsive(true);
+}
+
+TEST(EndToEndTest, NetworkMetricsCountDroppedPings) {
+  TracingHarness h;
+  auto entity = h.make_entity("svc-lossy");
+  ASSERT_TRUE(h.start_tracing(*entity).is_ok());
+
+  auto tracker = h.make_tracker("loss-watcher");
+  double max_loss = 0;
+  ASSERT_TRUE(h.track(*tracker, "svc-lossy", kCatNetworkMetrics,
+                      [&](const TracePayload& p, const pubsub::Message&) {
+                        if (p.metrics) {
+                          max_loss = std::max(max_loss, p.metrics->loss_rate);
+                        }
+                      })
+                  .is_ok());
+  h.net.run_for(500 * kMillisecond);
+  ASSERT_EQ(max_loss, 0.0);
+
+  // Two pings dropped, the rest answered: the window reports the loss.
+  drop_next_ping(h, *entity);
+  drop_next_ping(h, *entity);
+  h.net.run_for(600 * kMillisecond);
+  EXPECT_GT(max_loss, 0.0);
+}
+
+TEST(EndToEndTest, OneLostPingKeepsTheSteadyPingRate) {
+  TracingHarness h;
+  auto entity = h.make_entity("svc-steady");
+  ASSERT_TRUE(h.start_tracing(*entity).is_ok());
+  h.net.run_for(500 * kMillisecond);
+
+  const auto& stats = h.services[0]->stats();
+  std::uint64_t before = stats.pings_sent;
+  h.net.run_for(1 * kSecond);
+  const std::uint64_t steady = stats.pings_sent - before;
+  ASSERT_GE(steady, 9u);
+
+  // One lost ping is one miss: the interval halves once and relaxes on
+  // the next answer, instead of every later tick counting a miss.
+  drop_next_ping(h, *entity);
+  before = stats.pings_sent;
+  h.net.run_for(1 * kSecond);
+  const std::uint64_t after_loss = stats.pings_sent - before;
+  EXPECT_LE(after_loss, steady + 1);
+  EXPECT_GE(after_loss + 1, steady);
 }
 
 TEST(EndToEndTest, OnlyTheHostingBrokerMintsASession) {
