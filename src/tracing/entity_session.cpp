@@ -95,6 +95,10 @@ void EntitySession::register_with_broker(ReadyCallback on_ready) {
 
   pubsub::Message m;
   registration_request_id_ = rng_.next_u64() | 1;
+  // Mint the delegate pair now, before asking: the broker starts pinging
+  // as soon as it answers, and a keygen on the response path would leave
+  // those pings unanswered long enough to look like a departure.
+  registration_delegate_ = mint_delegate();
   if (roster_.empty()) {
     RegistrationRequest req;
     req.entity_id = identity_.id;
@@ -161,16 +165,21 @@ void EntitySession::on_registration_response(const pubsub::Message& m) {
                            session_id_.to_string()),
       [this](const pubsub::Message& ping) { on_ping(ping); });
 
-  deliver_delegation(std::exchange(pending_ready_, nullptr));
+  deliver_delegation(registration_delegate_,
+                     std::exchange(pending_ready_, nullptr));
 }
 
-void EntitySession::deliver_delegation(ReadyCallback on_ready) {
+crypto::RsaKeyPair EntitySession::mint_delegate() {
+  return preset_delegate_
+             ? *preset_delegate_
+             : crypto::rsa_generate(rng_, config_.delegate_key_bits);
+}
+
+void EntitySession::deliver_delegation(const crypto::RsaKeyPair& delegate,
+                                       ReadyCallback on_ready) {
   // Step 4 (§4.3): fresh delegate pair, token signed by our long-term key.
   // One delegation authorizes traces for the whole roster (the members
   // share the trace topic), so re-minting costs O(1) per session.
-  const crypto::RsaKeyPair delegate =
-      preset_delegate_ ? *preset_delegate_
-                       : crypto::rsa_generate(rng_, config_.delegate_key_bits);
   const TimePoint now = backend_.now();
   const AuthorizationToken token = AuthorizationToken::create(
       advertisement_, delegate.public_key, TokenRights::kPublish, now,
@@ -305,7 +314,7 @@ void EntitySession::renew_token() {
     // replaces its delegation atomically on receipt. A renewal failure is
     // indistinguishable from expiry, so there is no callback; the next
     // renewal timer is re-armed inside deliver_delegation.
-    deliver_delegation(nullptr);
+    deliver_delegation(mint_delegate(), nullptr);
   });
 }
 

@@ -11,11 +11,13 @@
 //      private-key possession;
 //   3. decrypt the hybrid-encrypted registration response (session id +
 //      session key), subscribe to the ping topic;
-//   4. generate a fresh delegate key pair, mint the authorization token
-//      and deliver {token, delegate private key} to the broker over the
+//   4. mint the authorization token for a fresh delegate key pair and
+//      deliver {token, delegate private key} to the broker over the
 //      encrypted session channel — plus the secret trace key when
 //      confidential traces are requested (§5.1) — and renew it before
-//      the token expires;
+//      the token expires. The pair is generated before step 2's request
+//      goes out, so the entity is free to answer the broker's first
+//      pings; a renewal generates its pair when it runs;
 //   5. answer pings and push state/load reports, signing every message
 //      (§4.2) or encrypting with the session key instead (§6.3 mode);
 //   6. when the hosting broker goes silent, find a replacement at the TDN
@@ -145,7 +147,10 @@ class EntitySession {
  private:
   void register_with_broker(ReadyCallback on_ready);
   void on_registration_response(const pubsub::Message& m);
-  void deliver_delegation(ReadyCallback on_ready);
+  /// A fresh delegate pair (or the preset one, see set_delegate_keys).
+  crypto::RsaKeyPair mint_delegate();
+  void deliver_delegation(const crypto::RsaKeyPair& delegate,
+                          ReadyCallback on_ready);
   void on_ping(const pubsub::Message& m);
   /// Records `state` and reports it if a session is up (client context).
   void report_state(EntityState state);
@@ -173,6 +178,9 @@ class EntitySession {
   crypto::SecretKey session_key_;
   crypto::SecretKey trace_key_;
   std::optional<crypto::RsaKeyPair> preset_delegate_;
+  /// Delegate pair minted with the registration in flight (§4.3); its
+  /// token is signed and sent once the session exists.
+  crypto::RsaKeyPair registration_delegate_;
   std::vector<std::string> roster_;         // registration order
   std::vector<std::uint8_t> member_live_;  // parallel to roster_
   std::uint64_t registration_request_id_ = 0;

@@ -165,5 +165,32 @@ TEST_F(RealTimeFixture, FailureDetectionOnWallClock) {
   net.stop();  // before the test-local entity/tracker are destroyed
 }
 
+TEST_F(RealTimeFixture, SlowDelegateKeygenIsNotPresumedDeparture) {
+  // A 1536-bit delegate keygen takes well over 100 ms here, against a
+  // ~30 ms disconnect window (10 ms pings, 3 misses). The pair is minted
+  // before registering, so the entity is free to answer the first pings.
+  TracingConfig c = config;
+  c.ping_interval = 10 * kMillisecond;
+  c.min_ping_interval = 10 * kMillisecond;
+  c.suspicion_misses = 1;
+  c.failed_misses = 2;
+  c.disconnect_misses = 3;
+  c.delegate_key_bits = 1536;
+  pubsub::Broker& broker = topo->add_broker({.name = "broker-keygen"});
+  TracingBrokerService service(broker, anchors, c, 77);
+
+  TracedEntity entity(net, identity("rt-keygen"), anchors, c, 5);
+  entity.attach_tdn(tdn->node(), link());
+  entity.connect_broker(broker.node(), link());
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  ASSERT_TRUE(start_blocking(entity).is_ok());
+  net.stop();  // read the counters with every node thread halted
+
+  EXPECT_EQ(service.stats().disconnects, 0u);
+  EXPECT_EQ(service.stats().registrations, 1u);
+  EXPECT_EQ(entity.stats().registrations, 1u);
+  EXPECT_TRUE(service.has_session_for("rt-keygen"));
+}
+
 }  // namespace
 }  // namespace et::tracing
