@@ -4,6 +4,7 @@
 #include "src/pubsub/constrained_topic.h"
 #include "src/tracing/trace_digest.h"
 #include "src/tracing/trace_emitter.h"
+#include "src/tracing/verify_pipeline.h"
 
 namespace et::tracing {
 
@@ -143,20 +144,15 @@ void Tracker::untrack(const std::string& entity_id) {
 std::optional<Bytes> Tracker::verify_and_open(Tracked& t,
                                               const std::string& trace_topic,
                                               const pubsub::Message& m) {
-  // End-to-end verification (§4.3): token chain + delegate signature. The
-  // broker network already filtered, but a tracker must not trust its
-  // access link.
-  AuthorizationToken token;
-  try {
-    token = AuthorizationToken::deserialize(m.auth_token);
-  } catch (const std::exception&) {
-    ++stats_.traces_rejected;
-    return std::nullopt;
-  }
-  if (!token.verify(anchors_.tdn_key, anchors_.ca_key, backend_.now())
-           .is_ok() ||
-      token.trace_topic().to_string() != trace_topic ||
-      !token.verify_delegate_signature(m.signable_bytes(), m.signature)) {
+  // End-to-end verification (§4.3): the per-hop rule every broker
+  // applies — token chain, publish rights on this trace topic, delegate
+  // signature. The broker network already filtered, but a tracker must
+  // not trust its access link.
+  const TraceCheck check{m.as_view(), trace_topic};
+  Status verdict;
+  verify_traces({&check, 1}, anchors_, /*cache=*/nullptr, backend_.now(),
+                {&verdict, 1});
+  if (!verdict.is_ok()) {
     ++stats_.traces_rejected;
     return std::nullopt;
   }

@@ -253,6 +253,54 @@ TEST(SecurityTest, TrackerRejectsTamperedTraces) {
   EXPECT_GT(tracker->stats().traces_rejected, 0u);
 }
 
+TEST(SecurityTest, TrackerRejectsSubscribeRightsTokenFromUnfilteredBroker) {
+  TracingHarness h;
+  const crypto::Identity owner = h.make_identity("svc-rights");
+  auto entity = h.make_client(ClientKind::kEntity, owner);
+  ASSERT_TRUE(h.start_tracing(entity).is_ok());
+
+  // The tracker's access broker runs no trace filter, so only the
+  // tracker's own check stands between it and what that broker carries.
+  pubsub::Broker& unfiltered = h.topology->add_broker({.name = "unfiltered"});
+  Tracker tracker(h.net, h.make_identity("trusting"), h.anchors, 9);
+  tracker.attach_tdn(h.tdn->node(), TracingHarness::link());
+  tracker.connect_broker(unfiltered.node(), TracingHarness::link());
+  h.net.run_for(20 * kMillisecond);
+  int forged_seen = 0;
+  ASSERT_TRUE(h.track(tracker, "svc-rights", kCatChangeNotifications,
+                      [&](const TracePayload& p, const pubsub::Message&) {
+                        if (p.type == TraceType::kFailed) ++forged_seen;
+                      })
+                  .is_ok());
+
+  // A well-formed token from the real owner, but granting subscribe
+  // rights only: every broker's filter rejects it as a publisher.
+  const crypto::RsaKeyPair delegate =
+      crypto::rsa_generate(h.rng, testing::kTestKeyBits);
+  const AuthorizationToken token = AuthorizationToken::create(
+      entity->advertisement(), delegate.public_key, TokenRights::kSubscribe,
+      h.net.now(), h.net.now() + 600 * kSecond, owner.keys.private_key);
+  TracePayload fake;
+  fake.type = TraceType::kFailed;
+  fake.entity_id = "svc-rights";
+  pubsub::Message m;
+  m.topic = pubsub::trace_topics::trace_publication(
+      entity->trace_topic().to_string(), "ChangeNotifications");
+  m.payload = fake.serialize();
+  m.publisher = "unfiltered";
+  m.sequence = 1;
+  m.timestamp = h.net.now();
+  m.auth_token = token.serialize();
+  m.signature = delegate.private_key.sign(m.signable_bytes());
+  const std::uint64_t received = tracker.stats().traces_received;
+  unfiltered.publish_from_broker(std::move(m));
+  h.net.run_for(100 * kMillisecond);
+
+  EXPECT_EQ(forged_seen, 0);
+  EXPECT_EQ(tracker.stats().traces_received, received);
+  EXPECT_EQ(tracker.stats().traces_rejected, 1u);
+}
+
 TEST(SecurityTest, ExpiredTokenStopsTraceRouting) {
   TracingConfig c = TracingHarness::fast_config();
   c.token_lifetime = 700 * kMillisecond;  // very short delegation
