@@ -12,8 +12,9 @@
 #             end-to-end framing tests) with a hard timeout; skipped
 #             gracefully where loopback sockets are unavailable
 #   asan    — ET_SANITIZE=address build of the codec-edge and robustness
-#             suites (over-read probes on the framing/view decoders) and
-#             the verification pipeline suites
+#             suites (over-read probes on the framing/view decoders), the
+#             verification pipeline suites and the tracing lifecycle, host
+#             and end-to-end suites
 #   tsan    — ET_SANITIZE=thread build running the concurrency-sensitive
 #             suites, including the socket backend and the RealTimeNetwork
 #             chaos scenario and overlay-repair smokes
@@ -91,9 +92,11 @@ run_asan() {
   # suites add the WAL/snapshot/ledger decoders fed truncated, bit-flipped
   # and garbage inputs (DESIGN.md §16). The verification pipeline suites
   # check that a batch never reads a token-cache entry a store has
-  # evicted (DESIGN.md §10).
+  # evicted (DESIGN.md §10). The lifecycle, host and end-to-end suites
+  # drive the hosting broker's paths where a publish tears down the very
+  # session it is walking (DESIGN.md §14).
   ctest --test-dir build-asan --output-on-failure --timeout 300 -R \
-    'FrameAssembler|FrameCodec|Robustness|Persist|VerifyPipeline|PipelineFixture'
+    'FrameAssembler|FrameCodec|Robustness|Persist|VerifyPipeline|PipelineFixture|LifecycleTest|EntityHostTest|EndToEndTest'
 }
 
 run_tsan() {

@@ -2,6 +2,8 @@
 // tracker untrack, and the state announced after a failover.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "src/transport/fault_injector.h"
@@ -167,6 +169,95 @@ TEST(LifecycleTest, UntrackOneOfTwoKeepsTheOther) {
   EXPECT_GT(b_count, b_so_far);
   EXPECT_EQ(tracker->tracked_count(), 1u);
 }
+
+/// The broker's liveness escalation for one traced entity, run over both
+/// client kinds: a single entity, and the first member of a host whose
+/// whole roster stops answering. Both must yield the same traces.
+class LivenessLifecycleTest : public ::testing::TestWithParam<ClientKind> {
+ protected:
+  LivenessLifecycleTest() : h(1, config()) {
+    client = h.make_client(GetParam(), "svc-esc");
+    EXPECT_TRUE(h.start_tracing(client).is_ok());
+    watched = client.members.empty() ? "svc-esc" : client.members.front();
+    tracker = h.make_tracker("watcher");
+    // Every liveness trace for the watched entity except heartbeats.
+    EXPECT_TRUE(h.track(*tracker, "svc-esc",
+                        kCatChangeNotifications | kCatAllUpdates,
+                        [this](const TracePayload& p, const pubsub::Message&) {
+                          if (p.entity_id != watched) return;
+                          if (p.type == TraceType::kAllsWell &&
+                              p.detail.empty()) {
+                            return;
+                          }
+                          seen.push_back(std::string(trace_type_name(p.type)) +
+                                         ": " + p.detail);
+                        })
+                    .is_ok());
+    h.net.run_for(300 * kMillisecond);
+  }
+
+  static TracingConfig config() {
+    TracingConfig c = TracingHarness::fast_config();
+    c.disconnect_misses = 9;
+    return c;
+  }
+
+  void set_responsive(bool responsive) {
+    if (client.entity) {
+      client.entity->set_responsive(responsive);
+    } else {
+      client.host->set_all_responsive(responsive);
+    }
+  }
+
+  TracingHarness h;
+  testing::TracedClient client;
+  std::string watched;
+  std::unique_ptr<Tracker> tracker;
+  std::vector<std::string> seen;
+};
+
+const std::string kSuspicion =
+    "FAILURE_SUSPICION: 3 consecutive pings unanswered";
+const std::string kFailed = "FAILED: no ping response after 6 attempts";
+
+TEST_P(LivenessLifecycleTest, UnresponsiveEscalatesToDisconnect) {
+  set_responsive(false);
+  h.net.run_for(3 * kSecond);
+  EXPECT_EQ(seen,
+            (std::vector<std::string>{
+                kSuspicion, kFailed,
+                "DISCONNECT: presumed departed: 9 consecutive pings "
+                "unanswered"}));
+  EXPECT_FALSE(h.services[0]->has_session_for(watched));
+}
+
+TEST_P(LivenessLifecycleTest, RecoveryBeforeDisconnectSendsAllsWell) {
+  set_responsive(false);
+  for (int i = 0; i < 300 && seen.size() < 2; ++i) {
+    h.net.run_for(10 * kMillisecond);
+  }
+  set_responsive(true);
+  h.net.run_for(1 * kSecond);
+  EXPECT_EQ(seen, (std::vector<std::string>{
+                      kSuspicion, kFailed,
+                      "ALLS_WELL: entity responsive again"}));
+  EXPECT_TRUE(h.services[0]->has_session_for(watched));
+}
+
+TEST_P(LivenessLifecycleTest, LostLinkSendsDisconnect) {
+  client->disconnect();
+  h.net.run_for(1 * kSecond);
+  EXPECT_EQ(seen, (std::vector<std::string>{"DISCONNECT: client link lost"}));
+  EXPECT_FALSE(h.services[0]->has_session_for(watched));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, LivenessLifecycleTest,
+    ::testing::Values(ClientKind::kEntity, ClientKind::kHost),
+    [](const ::testing::TestParamInfo<ClientKind>& param) {
+      return param.param == ClientKind::kEntity ? "Entity" : "HostMember";
+    });
 
 TEST(LifecycleTest, StateSetDuringRecoveryDwellIsNotOverwritten) {
   TracingConfig c = TracingHarness::fast_config();
