@@ -7,8 +7,9 @@
 //     is not on the entity's discovery-restriction list the TDN stays
 //     silent and tracking fails with kNotFound;
 //   * subscribes selectively to the per-category derived topics;
-//   * verifies every received trace end-to-end (token chain + delegate
-//     signature) before surfacing it;
+//   * verifies every received trace end-to-end with the per-hop rule
+//     every broker applies (verify_traces: token chain, publish rights
+//     on the trace topic, delegate signature) before surfacing it;
 //   * answers GAUGE_INTEREST probes with its interest set and credential,
 //     and requests/uses the sealed trace key when traces are encrypted.
 #pragma once
@@ -98,7 +99,7 @@ class Tracker {
   void begin_subscriptions(Tracked t, ReadyCallback on_ready);
   void on_trace(const std::string& trace_topic, const pubsub::Message& m);
   void on_digest(const std::string& trace_topic, const pubsub::Message& m);
-  /// Token-chain + delegate-signature verification shared by per-entity
+  /// The per-hop check (verify_traces, no cache) shared by per-entity
   /// traces and digests (§4.3), plus decryption when the payload is
   /// sealed with the trace key. Returns the plaintext body or nullopt
   /// (counters already bumped).
