@@ -1,13 +1,11 @@
 // Experiment E9 (ablation) — google-benchmark microbenchmarks of the hot
-// primitives underneath the tracing scheme: digests, AES, RSA, Montgomery
-// exponentiation, topic matching, constrained-topic parsing and
-// subscription-table lookup.
+// primitives underneath the tracing scheme: digests, AES, RSA, topic
+// matching, constrained-topic parsing and subscription-table lookup.
 #include <benchmark/benchmark.h>
 
 #include "src/common/topic_path.h"
 #include "src/common/uuid.h"
 #include "src/crypto/aes.h"
-#include "src/crypto/bigint.h"
 #include "src/crypto/hmac.h"
 #include "src/crypto/rsa.h"
 #include "src/crypto/sha1.h"
@@ -106,21 +104,6 @@ void BM_RsaEncrypt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RsaEncrypt);
-
-void BM_MontgomeryModExp(benchmark::State& state) {
-  Rng rng(9);
-  const crypto::BigInt n =
-      crypto::BigInt::generate_prime(rng, static_cast<std::size_t>(state.range(0)), 16);
-  const crypto::BigInt base = crypto::BigInt::random_below(rng, n);
-  const crypto::BigInt exp = crypto::BigInt::random_bits(
-      rng, static_cast<std::size_t>(state.range(0)));
-  const crypto::Montgomery mont(n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mont.pow(base, exp));
-  }
-}
-BENCHMARK(BM_MontgomeryModExp)->Arg(512)->Arg(1024)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_TopicMatch(benchmark::State& state) {
   const std::string pattern =

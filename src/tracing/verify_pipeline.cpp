@@ -96,18 +96,18 @@ std::size_t verify_traces(std::span<const TraceCheck> batch,
     }
 
     // Per-message checks, on cache hits too: they depend on the message,
-    // not the token bytes alone. The topic string, the rights check and
-    // the delegate-key Montgomery context are computed once per group.
+    // not the token bytes alone. The topic string and the rights check
+    // are computed once per group.
     const std::string topic = token->trace_topic().to_string();
     const bool rights_ok = token->rights() == TokenRights::kPublish;
-    const crypto::RsaVerifyContext ctx(token->delegate_key());
+    const crypto::RsaPublicKey& key = token->delegate_key();
     for (const std::size_t i : g.items) {
       const pubsub::MessageView& m = batch[i].msg;
       if (!rights_ok) {
         verdicts[i] = permission_denied("token does not grant publish rights");
       } else if (batch[i].expected_topic != topic) {
         verdicts[i] = permission_denied("token is for a different trace topic");
-      } else if (!ctx.verify(m.signable_bytes(), m.signature)) {
+      } else if (!key.verify(m.signable_bytes(), m.signature)) {
         verdicts[i] =
             unauthenticated("trace message not signed by the delegate key");
       } else {

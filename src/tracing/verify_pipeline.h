@@ -5,10 +5,10 @@
 // delegate key signed the message. verify_traces() is that rule, over a
 // batch: it groups the batch by token fingerprint, resolves the chain
 // once per group (through the TokenVerifyCache when one is given) and
-// builds one RsaVerifyContext — the Montgomery domain of the delegate
-// modulus plus a sparse-exponent ladder — per group, so a burst of traces
-// from one hosting broker pays the per-key setup once instead of once per
-// message. The inline reference filter calls it on a batch of one.
+// checks the group's signatures against the token's delegate key, whose
+// Montgomery context was built once when the token was parsed, so a burst
+// of traces from one hosting broker pays the per-key setup once instead of
+// once per message. The inline reference filter calls it on a batch of one.
 //
 // The trace filter installed by install_trace_filter does not verify on
 // the spot: it *admits* trace publications into a per-broker queue and

@@ -1,90 +1,17 @@
-// Property-based sweeps over the crypto substrate: algebraic invariants of
-// BigInt, round-trip laws for AES/RSA/envelopes across parameter grids,
-// and robustness of deserializers against corrupted input.
+// Property-based sweeps over the crypto substrate: round-trip laws for
+// AES/RSA/envelopes across parameter grids, and robustness of
+// deserializers against corrupted input.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
 #include "src/crypto/aes.h"
-#include "src/crypto/bigint.h"
 #include "src/crypto/rsa.h"
 #include "src/common/serialize.h"
 #include "src/crypto/secret_key.h"
 
 namespace et::crypto {
 namespace {
-
-// --- BigInt algebraic properties -------------------------------------------
-
-class BigIntPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(BigIntPropertyTest, AdditionCommutesAndAssociates) {
-  Rng rng(GetParam());
-  for (int i = 0; i < 20; ++i) {
-    const BigInt a = BigInt::random_bits(rng, 1 + rng.next_below(300));
-    const BigInt b = BigInt::random_bits(rng, 1 + rng.next_below(300));
-    const BigInt c = BigInt::random_bits(rng, 1 + rng.next_below(300));
-    EXPECT_EQ(a + b, b + a);
-    EXPECT_EQ((a + b) + c, a + (b + c));
-  }
-}
-
-TEST_P(BigIntPropertyTest, MultiplicationDistributesOverAddition) {
-  Rng rng(GetParam() + 1);
-  for (int i = 0; i < 20; ++i) {
-    const BigInt a = BigInt::random_bits(rng, 1 + rng.next_below(200));
-    const BigInt b = BigInt::random_bits(rng, 1 + rng.next_below(200));
-    const BigInt c = BigInt::random_bits(rng, 1 + rng.next_below(200));
-    EXPECT_EQ(a * (b + c), a * b + a * c);
-  }
-}
-
-TEST_P(BigIntPropertyTest, SubtractionInvertsAddition) {
-  Rng rng(GetParam() + 2);
-  for (int i = 0; i < 20; ++i) {
-    const BigInt a = BigInt::random_bits(rng, 1 + rng.next_below(256));
-    const BigInt b = BigInt::random_bits(rng, 1 + rng.next_below(256));
-    EXPECT_EQ((a + b) - b, a);
-  }
-}
-
-TEST_P(BigIntPropertyTest, DivModInvariantHolds) {
-  Rng rng(GetParam() + 3);
-  for (int i = 0; i < 25; ++i) {
-    const BigInt a = BigInt::random_bits(rng, 1 + rng.next_below(400));
-    const BigInt b =
-        BigInt::random_bits(rng, 1 + rng.next_below(300)) + BigInt(1);
-    const auto [q, r] = a.divmod(b);
-    EXPECT_EQ(q * b + r, a);
-    EXPECT_LT(r, b);
-  }
-}
-
-TEST_P(BigIntPropertyTest, ModExpMultiplicativeProperty) {
-  // (a*b)^e mod n == a^e * b^e mod n
-  Rng rng(GetParam() + 4);
-  BigInt n = BigInt::random_bits(rng, 96);
-  if (!n.is_odd()) n = n + BigInt(1);
-  const BigInt a = BigInt::random_below(rng, n);
-  const BigInt b = BigInt::random_below(rng, n);
-  const BigInt e = BigInt::random_bits(rng, 24);
-  const BigInt lhs = ((a * b) % n).mod_exp(e, n);
-  const BigInt rhs = (a.mod_exp(e, n) * b.mod_exp(e, n)) % n;
-  EXPECT_EQ(lhs, rhs);
-}
-
-TEST_P(BigIntPropertyTest, BytesRoundTripAnyLength) {
-  Rng rng(GetParam() + 5);
-  for (int i = 0; i < 20; ++i) {
-    const BigInt v = BigInt::random_bits(rng, 1 + rng.next_below(600));
-    EXPECT_EQ(BigInt::from_bytes(v.to_bytes()), v);
-    EXPECT_EQ(BigInt::parse("0x" + (v.is_zero() ? "0" : v.to_hex())), v);
-    EXPECT_EQ(BigInt::parse(v.to_string()), v);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BigIntPropertyTest,
-                         ::testing::Values(11u, 23u, 47u, 89u, 131u));
 
 // --- AES round-trip grid -----------------------------------------------------
 

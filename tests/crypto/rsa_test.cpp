@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "src/common/bytes.h"
+#include "src/common/serialize.h"
+#include "src/crypto/sha1.h"
 
 namespace et::crypto {
 namespace {
@@ -29,9 +31,11 @@ RsaKeyPair* RsaTest::pair_ = nullptr;
 RsaKeyPair* RsaTest::small_ = nullptr;
 
 TEST_F(RsaTest, ModulusHasRequestedLength) {
-  EXPECT_EQ(pair_->public_key.n().bit_length(), 1024u);
+  // Exact length: the top bit of the leading octet is set.
   EXPECT_EQ(pair_->public_key.modulus_len(), 128u);
-  EXPECT_EQ(small_->public_key.n().bit_length(), 512u);
+  EXPECT_GE(pair_->public_key.n().front(), 0x80);
+  EXPECT_EQ(small_->public_key.modulus_len(), 64u);
+  EXPECT_GE(small_->public_key.n().front(), 0x80);
 }
 
 TEST_F(RsaTest, SignVerifySha1) {
@@ -147,6 +151,103 @@ TEST_F(RsaTest, CrtMatchesPlainExponentiation) {
     const Bytes pt = rng.next_bytes(32);
     const Bytes ct = small_->public_key.encrypt(pt, rng);
     EXPECT_EQ(small_->private_key.decrypt(ct), pt);
+  }
+}
+
+// Delegate keys in tokens and credentials come from outside the program:
+// whatever a deserialized key holds, verify returns a verdict.
+Bytes wire_key(BytesView n, BytesView e) {
+  Writer w;
+  w.bytes(n);
+  w.bytes(e);
+  return std::move(w).take();
+}
+
+TEST_F(RsaTest, DegenerateWireKeysNeverVerify) {
+  const Bytes msg = to_bytes("trace from a hostile token");
+  const RsaPublicKey& good = pair_->public_key;
+  const Bytes sig = pair_->private_key.sign(msg);
+  const Bytes n = good.n();
+  const Bytes e = good.e();
+  Bytes even_n = n;
+  even_n.back() &= 0xFE;
+  Rng rng(11);
+  Bytes big_n = rng.next_bytes(512);  // a 4096-bit odd modulus
+  big_n.front() |= 0x80;
+  big_n.back() |= 0x01;
+
+  // EM for `msg` under SHA-1: with e = 1 it is its own "signature".
+  Bytes em = {0x00, 0x01};
+  em.insert(em.end(), 128 - 35 - 3, 0xFF);
+  append(em, Bytes{0x00, 0x30, 0x21, 0x30, 0x09, 0x06, 0x05, 0x2b, 0x0e, 0x03,
+                   0x02, 0x1a, 0x05, 0x00, 0x04, 0x14});
+  append(em, Sha1::digest(msg));
+  ASSERT_EQ(em.size(), 128u);
+
+  const std::vector<Bytes> keys = {
+      wire_key({}, e),          wire_key(Bytes{0x01}, e),
+      wire_key(even_n, e),      wire_key(n, {}),
+      wire_key(n, Bytes{0x01}), wire_key(big_n, e),
+      wire_key(Bytes{0x00, 0x00}, Bytes{0x00})};
+  Bytes short_sig(sig.begin(), sig.end() - 1);
+  Bytes long_sig = sig;
+  long_sig.push_back(0);
+  const std::vector<Bytes> sigs = {sig,       short_sig,          long_sig,
+                                   n,         Bytes(128, 0xFF),   em,
+                                   Bytes(512, 0x7F), Bytes{}};
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    RsaPublicKey key;
+    ASSERT_NO_THROW(key = RsaPublicKey::deserialize(keys[k])) << "key " << k;
+    for (std::size_t i = 0; i < sigs.size(); ++i) {
+      bool ok = true;
+      EXPECT_NO_THROW(ok = key.verify(msg, sigs[i])) << k << "/" << i;
+      EXPECT_FALSE(ok) << "key " << k << " signature " << i;
+    }
+    if (key.n() != big_n) {  // the 4096-bit key is odd, hence usable
+      EXPECT_THROW((void)key.encrypt(to_bytes("k"), rng),
+                   std::invalid_argument)
+          << "key " << k;
+    }
+  }
+
+  // The genuine key still rejects every malformed signature.
+  for (const Bytes& bad : {short_sig, long_sig, n, Bytes(128, 0xFF), em}) {
+    EXPECT_FALSE(good.verify(msg, bad));
+  }
+  // Malformed bytes still throw.
+  const Bytes wire = good.serialize();
+  EXPECT_THROW(RsaPublicKey::deserialize(BytesView(wire).first(wire.size() - 1)),
+               SerializeError);
+  Bytes trailing = wire;
+  trailing.push_back(0);
+  EXPECT_THROW(RsaPublicKey::deserialize(trailing), SerializeError);
+}
+
+TEST_F(RsaTest, InconsistentPrivateKeyRejectedOnDeserialize) {
+  // Fields after the public key: d, p, q, dp, dq, qinv.
+  const Bytes wire = small_->private_key.serialize();
+  Reader r(wire);
+  const Bytes pub = r.bytes();
+  std::vector<Bytes> f;
+  for (int i = 0; i < 6; ++i) f.push_back(r.bytes());
+  const auto rebuild = [&](const std::vector<Bytes>& fields) {
+    Writer w;
+    w.bytes(pub);
+    for (const Bytes& x : fields) w.bytes(x);
+    return std::move(w).take();
+  };
+  EXPECT_EQ(RsaPrivateKey::deserialize(rebuild(f)).sign(to_bytes("m")),
+            small_->private_key.sign(to_bytes("m")));
+
+  std::vector<Bytes> even_p = f;
+  even_p[1].back() &= 0xFE;
+  std::vector<Bytes> swapped_n = f;
+  swapped_n[2] = f[1];  // p * p != n
+  std::vector<Bytes> one_q = f;
+  one_q[2] = Bytes{0x01};
+  for (const auto& bad : {even_p, swapped_n, one_q}) {
+    EXPECT_THROW((void)RsaPrivateKey::deserialize(rebuild(bad)),
+                 std::invalid_argument);
   }
 }
 

@@ -222,7 +222,7 @@ TEST_F(PipelineFixture, BatchedDrainGroupsByDelegateKeyFingerprint) {
 
   // Six admissions before the virtual clock runs: the drain posted by the
   // first admission takes the whole backlog in one pass and resolves each
-  // key's chain + Montgomery context once.
+  // key's chain once.
   for (std::uint64_t i = 0; i < 6; ++i) {
     const bool use_a = (i % 2) == 0;
     pipe.admit(host,
