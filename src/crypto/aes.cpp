@@ -1,175 +1,41 @@
+// The AES_* functions are deprecated in OpenSSL 3.0 in favour of EVP, which
+// would start the provider machinery; the low-level block cipher does not.
+#define OPENSSL_SUPPRESS_DEPRECATED
 #include "src/crypto/aes.h"
+
+#include <openssl/aes.h>
 
 #include <cstring>
 #include <stdexcept>
 
 namespace et::crypto {
 
-namespace {
+struct Aes::Schedules {
+  AES_KEY enc;
+  AES_KEY dec;
+};
 
-constexpr std::uint8_t kSbox[256] = {
-    0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b,
-    0xfe, 0xd7, 0xab, 0x76, 0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0,
-    0xad, 0xd4, 0xa2, 0xaf, 0x9c, 0xa4, 0x72, 0xc0, 0xb7, 0xfd, 0x93, 0x26,
-    0x36, 0x3f, 0xf7, 0xcc, 0x34, 0xa5, 0xe5, 0xf1, 0x71, 0xd8, 0x31, 0x15,
-    0x04, 0xc7, 0x23, 0xc3, 0x18, 0x96, 0x05, 0x9a, 0x07, 0x12, 0x80, 0xe2,
-    0xeb, 0x27, 0xb2, 0x75, 0x09, 0x83, 0x2c, 0x1a, 0x1b, 0x6e, 0x5a, 0xa0,
-    0x52, 0x3b, 0xd6, 0xb3, 0x29, 0xe3, 0x2f, 0x84, 0x53, 0xd1, 0x00, 0xed,
-    0x20, 0xfc, 0xb1, 0x5b, 0x6a, 0xcb, 0xbe, 0x39, 0x4a, 0x4c, 0x58, 0xcf,
-    0xd0, 0xef, 0xaa, 0xfb, 0x43, 0x4d, 0x33, 0x85, 0x45, 0xf9, 0x02, 0x7f,
-    0x50, 0x3c, 0x9f, 0xa8, 0x51, 0xa3, 0x40, 0x8f, 0x92, 0x9d, 0x38, 0xf5,
-    0xbc, 0xb6, 0xda, 0x21, 0x10, 0xff, 0xf3, 0xd2, 0xcd, 0x0c, 0x13, 0xec,
-    0x5f, 0x97, 0x44, 0x17, 0xc4, 0xa7, 0x7e, 0x3d, 0x64, 0x5d, 0x19, 0x73,
-    0x60, 0x81, 0x4f, 0xdc, 0x22, 0x2a, 0x90, 0x88, 0x46, 0xee, 0xb8, 0x14,
-    0xde, 0x5e, 0x0b, 0xdb, 0xe0, 0x32, 0x3a, 0x0a, 0x49, 0x06, 0x24, 0x5c,
-    0xc2, 0xd3, 0xac, 0x62, 0x91, 0x95, 0xe4, 0x79, 0xe7, 0xc8, 0x37, 0x6d,
-    0x8d, 0xd5, 0x4e, 0xa9, 0x6c, 0x56, 0xf4, 0xea, 0x65, 0x7a, 0xae, 0x08,
-    0xba, 0x78, 0x25, 0x2e, 0x1c, 0xa6, 0xb4, 0xc6, 0xe8, 0xdd, 0x74, 0x1f,
-    0x4b, 0xbd, 0x8b, 0x8a, 0x70, 0x3e, 0xb5, 0x66, 0x48, 0x03, 0xf6, 0x0e,
-    0x61, 0x35, 0x57, 0xb9, 0x86, 0xc1, 0x1d, 0x9e, 0xe1, 0xf8, 0x98, 0x11,
-    0x69, 0xd9, 0x8e, 0x94, 0x9b, 0x1e, 0x87, 0xe9, 0xce, 0x55, 0x28, 0xdf,
-    0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f,
-    0xb0, 0x54, 0xbb, 0x16};
-
-constexpr std::uint8_t kInvSbox[256] = {
-    0x52, 0x09, 0x6a, 0xd5, 0x30, 0x36, 0xa5, 0x38, 0xbf, 0x40, 0xa3, 0x9e,
-    0x81, 0xf3, 0xd7, 0xfb, 0x7c, 0xe3, 0x39, 0x82, 0x9b, 0x2f, 0xff, 0x87,
-    0x34, 0x8e, 0x43, 0x44, 0xc4, 0xde, 0xe9, 0xcb, 0x54, 0x7b, 0x94, 0x32,
-    0xa6, 0xc2, 0x23, 0x3d, 0xee, 0x4c, 0x95, 0x0b, 0x42, 0xfa, 0xc3, 0x4e,
-    0x08, 0x2e, 0xa1, 0x66, 0x28, 0xd9, 0x24, 0xb2, 0x76, 0x5b, 0xa2, 0x49,
-    0x6d, 0x8b, 0xd1, 0x25, 0x72, 0xf8, 0xf6, 0x64, 0x86, 0x68, 0x98, 0x16,
-    0xd4, 0xa4, 0x5c, 0xcc, 0x5d, 0x65, 0xb6, 0x92, 0x6c, 0x70, 0x48, 0x50,
-    0xfd, 0xed, 0xb9, 0xda, 0x5e, 0x15, 0x46, 0x57, 0xa7, 0x8d, 0x9d, 0x84,
-    0x90, 0xd8, 0xab, 0x00, 0x8c, 0xbc, 0xd3, 0x0a, 0xf7, 0xe4, 0x58, 0x05,
-    0xb8, 0xb3, 0x45, 0x06, 0xd0, 0x2c, 0x1e, 0x8f, 0xca, 0x3f, 0x0f, 0x02,
-    0xc1, 0xaf, 0xbd, 0x03, 0x01, 0x13, 0x8a, 0x6b, 0x3a, 0x91, 0x11, 0x41,
-    0x4f, 0x67, 0xdc, 0xea, 0x97, 0xf2, 0xcf, 0xce, 0xf0, 0xb4, 0xe6, 0x73,
-    0x96, 0xac, 0x74, 0x22, 0xe7, 0xad, 0x35, 0x85, 0xe2, 0xf9, 0x37, 0xe8,
-    0x1c, 0x75, 0xdf, 0x6e, 0x47, 0xf1, 0x1a, 0x71, 0x1d, 0x29, 0xc5, 0x89,
-    0x6f, 0xb7, 0x62, 0x0e, 0xaa, 0x18, 0xbe, 0x1b, 0xfc, 0x56, 0x3e, 0x4b,
-    0xc6, 0xd2, 0x79, 0x20, 0x9a, 0xdb, 0xc0, 0xfe, 0x78, 0xcd, 0x5a, 0xf4,
-    0x1f, 0xdd, 0xa8, 0x33, 0x88, 0x07, 0xc7, 0x31, 0xb1, 0x12, 0x10, 0x59,
-    0x27, 0x80, 0xec, 0x5f, 0x60, 0x51, 0x7f, 0xa9, 0x19, 0xb5, 0x4a, 0x0d,
-    0x2d, 0xe5, 0x7a, 0x9f, 0x93, 0xc9, 0x9c, 0xef, 0xa0, 0xe0, 0x3b, 0x4d,
-    0xae, 0x2a, 0xf5, 0xb0, 0xc8, 0xeb, 0xbb, 0x3c, 0x83, 0x53, 0x99, 0x61,
-    0x17, 0x2b, 0x04, 0x7e, 0xba, 0x77, 0xd6, 0x26, 0xe1, 0x69, 0x14, 0x63,
-    0x55, 0x21, 0x0c, 0x7d};
-
-std::uint8_t xtime(std::uint8_t x) {
-  return static_cast<std::uint8_t>((x << 1) ^ ((x >> 7) ? 0x1b : 0x00));
-}
-
-std::uint8_t gmul(std::uint8_t a, std::uint8_t b) {
-  std::uint8_t p = 0;
-  for (int i = 0; i < 8; ++i) {
-    if (b & 1) p ^= a;
-    a = xtime(a);
-    b >>= 1;
-  }
-  return p;
-}
-
-}  // namespace
-
-Aes::Aes(BytesView key) {
-  const std::size_t nk = key.size() / 4;  // words in key
+Aes::Aes(BytesView key) : key_bits_(key.size() * 8) {
   if (key.size() != 16 && key.size() != 24 && key.size() != 32) {
     throw std::invalid_argument("Aes: key must be 16, 24 or 32 bytes");
   }
-  key_bits_ = key.size() * 8;
-  rounds_ = nk + 6;
-
-  // Key expansion into (rounds_+1)*16 bytes of round keys, word-wise.
-  const std::size_t total_words = (rounds_ + 1) * 4;
-  std::memcpy(round_keys_.data(), key.data(), key.size());
-  std::uint8_t rcon = 0x01;
-  for (std::size_t i = nk; i < total_words; ++i) {
-    std::uint8_t temp[4];
-    std::memcpy(temp, round_keys_.data() + (i - 1) * 4, 4);
-    if (i % nk == 0) {
-      // RotWord + SubWord + Rcon
-      const std::uint8_t t0 = temp[0];
-      temp[0] = static_cast<std::uint8_t>(kSbox[temp[1]] ^ rcon);
-      temp[1] = kSbox[temp[2]];
-      temp[2] = kSbox[temp[3]];
-      temp[3] = kSbox[t0];
-      rcon = xtime(rcon);
-    } else if (nk > 6 && i % nk == 4) {
-      for (auto& t : temp) t = kSbox[t];
-    }
-    for (int b = 0; b < 4; ++b) {
-      round_keys_[i * 4 + b] = static_cast<std::uint8_t>(
-          round_keys_[(i - nk) * 4 + b] ^ temp[b]);
-    }
+  auto keys = std::make_unique<Schedules>();
+  const int bits = static_cast<int>(key_bits_);
+  if (AES_set_encrypt_key(key.data(), bits, &keys->enc) != 0 ||
+      AES_set_decrypt_key(key.data(), bits, &keys->dec) != 0) {
+    throw std::invalid_argument("Aes: key schedule failed");
   }
+  keys_ = std::move(keys);
 }
 
-void Aes::encrypt_block(std::uint8_t block[16]) const {
-  auto add_round_key = [&](std::size_t round) {
-    for (int i = 0; i < 16; ++i) block[i] ^= round_keys_[round * 16 + i];
-  };
+Aes::~Aes() = default;
 
-  add_round_key(0);
-  for (std::size_t round = 1; round <= rounds_; ++round) {
-    // SubBytes
-    for (int i = 0; i < 16; ++i) block[i] = kSbox[block[i]];
-    // ShiftRows (column-major state: byte index = col*4 + row)
-    std::uint8_t tmp[16];
-    for (int col = 0; col < 4; ++col) {
-      for (int row = 0; row < 4; ++row) {
-        tmp[col * 4 + row] = block[((col + row) % 4) * 4 + row];
-      }
-    }
-    std::memcpy(block, tmp, 16);
-    // MixColumns (skipped in the final round)
-    if (round != rounds_) {
-      for (int col = 0; col < 4; ++col) {
-        std::uint8_t* c = block + col * 4;
-        const std::uint8_t a0 = c[0], a1 = c[1], a2 = c[2], a3 = c[3];
-        c[0] = static_cast<std::uint8_t>(xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3);
-        c[1] = static_cast<std::uint8_t>(a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3);
-        c[2] = static_cast<std::uint8_t>(a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3));
-        c[3] = static_cast<std::uint8_t>((xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3));
-      }
-    }
-    add_round_key(round);
-  }
+void Aes::encrypt_block(std::uint8_t block[16]) const {
+  AES_encrypt(block, block, &keys_->enc);
 }
 
 void Aes::decrypt_block(std::uint8_t block[16]) const {
-  auto add_round_key = [&](std::size_t round) {
-    for (int i = 0; i < 16; ++i) block[i] ^= round_keys_[round * 16 + i];
-  };
-
-  add_round_key(rounds_);
-  for (std::size_t round = rounds_; round-- > 0;) {
-    // InvShiftRows
-    std::uint8_t tmp[16];
-    for (int col = 0; col < 4; ++col) {
-      for (int row = 0; row < 4; ++row) {
-        tmp[((col + row) % 4) * 4 + row] = block[col * 4 + row];
-      }
-    }
-    std::memcpy(block, tmp, 16);
-    // InvSubBytes
-    for (int i = 0; i < 16; ++i) block[i] = kInvSbox[block[i]];
-    add_round_key(round);
-    // InvMixColumns (skipped before round 0's AddRoundKey, i.e. when done)
-    if (round != 0) {
-      for (int col = 0; col < 4; ++col) {
-        std::uint8_t* c = block + col * 4;
-        const std::uint8_t a0 = c[0], a1 = c[1], a2 = c[2], a3 = c[3];
-        c[0] = static_cast<std::uint8_t>(gmul(a0, 14) ^ gmul(a1, 11) ^
-                                         gmul(a2, 13) ^ gmul(a3, 9));
-        c[1] = static_cast<std::uint8_t>(gmul(a0, 9) ^ gmul(a1, 14) ^
-                                         gmul(a2, 11) ^ gmul(a3, 13));
-        c[2] = static_cast<std::uint8_t>(gmul(a0, 13) ^ gmul(a1, 9) ^
-                                         gmul(a2, 14) ^ gmul(a3, 11));
-        c[3] = static_cast<std::uint8_t>(gmul(a0, 11) ^ gmul(a1, 13) ^
-                                         gmul(a2, 9) ^ gmul(a3, 14));
-      }
-    }
-  }
+  AES_decrypt(block, block, &keys_->dec);
 }
 
 Bytes aes_cbc_encrypt(const Aes& cipher, BytesView plaintext, Rng& rng) {

@@ -2,12 +2,12 @@
 //
 // The paper secures trace payloads with "192-bit AES keys" (§6.1); this
 // implementation supports 128/192/256-bit keys. CBC ciphertexts carry the
-// random IV as their first block. Straightforward S-box implementation —
-// not side-channel hardened (see the crypto disclaimer in DESIGN.md).
+// random IV as their first block. The block cipher is libcrypto's
+// low-level AES; CBC chaining and PKCS#7 padding stay in-tree.
 #pragma once
 
-#include <array>
 #include <cstdint>
+#include <memory>
 
 #include "src/common/bytes.h"
 #include "src/common/random.h"
@@ -21,6 +21,7 @@ class Aes {
 
   /// Key must be 16, 24 or 32 bytes; throws std::invalid_argument otherwise.
   explicit Aes(BytesView key);
+  ~Aes();
 
   /// Encrypts one 16-byte block in place.
   void encrypt_block(std::uint8_t block[16]) const;
@@ -30,10 +31,9 @@ class Aes {
   [[nodiscard]] std::size_t key_bits() const { return key_bits_; }
 
  private:
-  std::size_t rounds_;
+  struct Schedules;  // libcrypto's encrypt and decrypt key schedules
+  std::unique_ptr<const Schedules> keys_;
   std::size_t key_bits_;
-  // Maximum schedule: AES-256 has 15 round keys of 16 bytes.
-  std::array<std::uint8_t, 240> round_keys_{};
 };
 
 /// CBC + PKCS#7 encryption. Output = IV || ciphertext. IV drawn from `rng`.
