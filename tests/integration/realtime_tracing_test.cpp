@@ -166,16 +166,17 @@ TEST_F(RealTimeFixture, FailureDetectionOnWallClock) {
 }
 
 TEST_F(RealTimeFixture, SlowDelegateKeygenIsNotPresumedDeparture) {
-  // A 1536-bit delegate keygen takes well over 100 ms here, against a
-  // ~30 ms disconnect window (10 ms pings, 3 misses). The pair is minted
-  // before registering, so the entity is free to answer the first pings.
+  // This 3072-bit delegate keygen takes ~170 ms on a 4-vCPU host, against
+  // a ~30 ms disconnect window (10 ms pings, 3 misses); a 1536-bit one
+  // takes ~30 ms and would not tell. The pair is minted before
+  // registering, so the entity is free to answer the first pings.
   TracingConfig c = config;
   c.ping_interval = 10 * kMillisecond;
   c.min_ping_interval = 10 * kMillisecond;
   c.suspicion_misses = 1;
   c.failed_misses = 2;
   c.disconnect_misses = 3;
-  c.delegate_key_bits = 1536;
+  c.delegate_key_bits = 3072;
   pubsub::Broker& broker = topo->add_broker({.name = "broker-keygen"});
   TracingBrokerService service(broker, anchors, c, 77);
 
