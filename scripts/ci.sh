@@ -13,8 +13,8 @@
 #             gracefully where loopback sockets are unavailable
 #   asan    — ET_SANITIZE=address build of the codec-edge and robustness
 #             suites (over-read probes on the framing/view decoders), the
-#             verification pipeline suites and the tracing lifecycle, host
-#             and end-to-end suites
+#             verification pipeline suites, the tracing lifecycle, host
+#             and end-to-end suites, and the RSA/AES/credential suites
 #   tsan    — ET_SANITIZE=thread build running the concurrency-sensitive
 #             suites, including the socket backend and the RealTimeNetwork
 #             chaos scenario and overlay-repair smokes
@@ -94,9 +94,11 @@ run_asan() {
   # check that a batch never reads a token-cache entry a store has
   # evicted (DESIGN.md §10). The lifecycle, host and end-to-end suites
   # drive the hosting broker's paths where a publish tears down the very
-  # session it is walking (DESIGN.md §14).
+  # session it is walking (DESIGN.md §14). The crypto suites drive the RSA
+  # and AES wrappers, which manage libcrypto's BN and key memory, with
+  # degenerate keys from the wire among their inputs.
   ctest --test-dir build-asan --output-on-failure --timeout 300 -R \
-    'FrameAssembler|FrameCodec|Robustness|Persist|VerifyPipeline|PipelineFixture|LifecycleTest|EntityHostTest|EndToEndTest'
+    'FrameAssembler|FrameCodec|Robustness|Persist|VerifyPipeline|PipelineFixture|LifecycleTest|EntityHostTest|EndToEndTest|RsaTest|RsaGenerateTest|RsaSizeTest|RsaKatTest|Aes|CorruptionTest|CredentialTest|SecretKeyTest'
 }
 
 run_tsan() {

@@ -133,9 +133,12 @@ TEST_F(RealTimeFixture, ManyEntitiesRegisterConcurrently) {
     ASSERT_TRUE(start_blocking(*e).is_ok()) << "entity " << i;
     entities.push_back(std::move(e));
   }
+  // Halt the node threads before reading broker state: a broker publishes
+  // the registration response before it records the session, so an entity
+  // can be ready while its broker is still writing the session table.
+  net.stop();  // also before the test-local entities are destroyed
   EXPECT_EQ(services[0]->active_sessions() + services[1]->active_sessions(),
             static_cast<std::size_t>(kEntities));
-  net.stop();  // before the test-local entities are destroyed
 }
 
 TEST_F(RealTimeFixture, FailureDetectionOnWallClock) {
