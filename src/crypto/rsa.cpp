@@ -50,7 +50,6 @@ Bytes emsa_encode(BytesView message, HashAlg alg, std::size_t em_len) {
   return em;
 }
 
-
 struct BnFree {
   void operator()(BIGNUM* b) const { BN_clear_free(b); }
 };
@@ -147,7 +146,8 @@ void random_bits(Rng& rng, std::size_t bits, BIGNUM* out) {
       limb &= 0xFFFFFFFFu >> (limbs * 32 - bits);
     }
     for (std::size_t j = 0; j < 4; ++j) {
-      be[be.size() - 1 - (4 * i + j)] = static_cast<std::uint8_t>(limb >> (8 * j));
+      be[be.size() - 1 - (4 * i + j)] =
+          static_cast<std::uint8_t>(limb >> (8 * j));
     }
   }
   check(BN_bin2bn(be.data(), static_cast<int>(be.size()), out) != nullptr);

@@ -192,9 +192,9 @@ TEST_F(RsaTest, DegenerateWireKeysNeverVerify) {
   Bytes short_sig(sig.begin(), sig.end() - 1);
   Bytes long_sig = sig;
   long_sig.push_back(0);
-  const std::vector<Bytes> sigs = {sig,       short_sig,          long_sig,
-                                   n,         Bytes(128, 0xFF),   em,
-                                   Bytes(512, 0x7F), Bytes{}};
+  const std::vector<Bytes> sigs = {
+      sig, short_sig, long_sig, n, Bytes(128, 0xFF), em, Bytes(512, 0x7F),
+      Bytes{}};
   for (std::size_t k = 0; k < keys.size(); ++k) {
     RsaPublicKey key;
     ASSERT_NO_THROW(key = RsaPublicKey::deserialize(keys[k])) << "key " << k;
@@ -216,8 +216,8 @@ TEST_F(RsaTest, DegenerateWireKeysNeverVerify) {
   }
   // Malformed bytes still throw.
   const Bytes wire = good.serialize();
-  EXPECT_THROW(RsaPublicKey::deserialize(BytesView(wire).first(wire.size() - 1)),
-               SerializeError);
+  const BytesView truncated = BytesView(wire).first(wire.size() - 1);
+  EXPECT_THROW(RsaPublicKey::deserialize(truncated), SerializeError);
   Bytes trailing = wire;
   trailing.push_back(0);
   EXPECT_THROW(RsaPublicKey::deserialize(trailing), SerializeError);
